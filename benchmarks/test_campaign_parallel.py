@@ -1,15 +1,16 @@
-"""Campaign executor — parallel vs serial wall-clock on a 32-run grid.
+"""Campaign executor — fleet vs one-worker wall-clock on a 32-run grid.
 
-Executes the same 32-run campaign twice, serially (``workers=1``) and
-through the process pool, checks the result files are byte-identical,
-and records the speedup.  The speedup assertion only applies on
-multi-core hosts; on a single core the pool can only add overhead.
+Drains the same 32-run campaign twice, with one in-process worker
+(``workers=1``) and with a ``repro queue work`` fleet, checks the
+result files are byte-identical, and records the speedup.  The
+speedup assertion only applies on multi-core hosts; on a single core
+the fleet can only add overhead.
 """
 
 import os
 from pathlib import Path
 
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.queue import build_entry, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.metrics.report import format_table
@@ -31,7 +32,7 @@ def test_campaign_parallel_speedup(benchmark, record_artifact, record_bench, tmp
     assert len(runs) == 32
 
     serial_store = ResultStore(tmp_path / "serial")
-    serial = CampaignRunner(store=serial_store, workers=1).run(runs)
+    serial = run_campaign(serial_store.root, runs, workers=1)
     assert serial.ok
 
     workers = min(8, os.cpu_count() or 1)
@@ -40,7 +41,7 @@ def test_campaign_parallel_speedup(benchmark, record_artifact, record_bench, tmp
     def parallel_campaign():
         for rid in list(parallel_store.completed_ids()):
             parallel_store.delete(rid)
-        return CampaignRunner(store=parallel_store, workers=workers).run(runs)
+        return run_campaign(parallel_store.root, runs, workers=workers)
 
     parallel = benchmark.pedantic(parallel_campaign, rounds=1, iterations=1)
     assert parallel.ok
@@ -93,13 +94,12 @@ def test_queue_lease_overhead(benchmark, record_artifact, record_bench, tmp_path
     import time
 
     from repro.campaign.queue import WorkQueue, lease_cycle_once
-    from repro.campaign.runner import _default_entry
     from repro.campaign.spec import RunSpec
 
     # Reference run: the e8 share-fraction sweep, the same workload the
     # paper-evaluation campaign leans on.
     run = RunSpec.from_params({"kind": "experiment", "experiment": "e8"})
-    entry = _default_entry(None, None, None, None)
+    entry = build_entry()
     started = time.perf_counter()
     entry(dict(run.params))
     run_s = time.perf_counter() - started

@@ -5,7 +5,7 @@ the three costs an operator sizing a deployment needs: submission
 latency (create and idempotent-replay paths, p50/p99), the admission
 gate's shed behaviour at saturation (every 429 must be fast and
 accounted), and end-to-end streaming overhead — submit + worker drain
-+ SSE-to-complete versus the same spec through ``campaign --join``.
++ SSE-to-complete versus the same spec through ``repro campaign``.
 
 Emits both the human table (``benchmarks/results/``) and the
 machine-readable ``BENCH_serve.json`` at the repo root.
@@ -174,7 +174,7 @@ def _measure_streaming(tmp_path) -> dict:
     start = time.perf_counter()
     assert main([
         "campaign", "--jobs", "25", "--sizes", "16", "--seeds", "1",
-        "--strategies", "fcfs", "--name", "bench-0", "--join",
+        "--strategies", "fcfs", "--name", "bench-0",
         "--workers", "1", "--store", str(tmp_path / "direct"), "--quiet",
     ]) == 0
     direct_s = time.perf_counter() - start

@@ -336,8 +336,8 @@ def e8_share_fraction_sweep(
     """Efficiency gains as a function of the shareable fraction.
 
     The per-fraction traces are derived serially (each draws from the
-    same RNG stream), then the simulations run through the campaign
-    runner — fanned out over *workers* processes when > 1, with
+    same RNG stream), then the simulations drain through the campaign
+    queue — fanned out over *workers* processes when > 1, with
     identical results either way.
     """
     rng = np.random.default_rng(EVAL_SEED + 1)
@@ -930,7 +930,7 @@ def e21_checkpoint_rescue(
     process, so the goodput gap between cells is attributable to the
     policy alone: no checkpointing loses each victim's full progress,
     checkpointing trades a steady overhead for bounded loss.  Runs
-    through the campaign runner (``workers`` > 1 parallelises).
+    through the campaign queue (``workers`` > 1 parallelises).
     """
     workload = campaign_workload(num_jobs=num_jobs, cluster_nodes=num_nodes)
     cells = [
@@ -999,7 +999,7 @@ def e22_correlated_failures(
     so its blast radius is the rack's resident job population — which
     node sharing doubles in the limit.  Sweeps the shareable fraction
     under a fixed seeded rack-failure process and reports per-failure
-    blast statistics.  Runs through the campaign runner (``workers`` >
+    blast statistics.  Runs through the campaign queue (``workers`` >
     1 parallelises).
     """
     params = [
@@ -1204,7 +1204,7 @@ EXPERIMENT_REGISTRY: dict[str, Callable[[], ExperimentOutput]] = {
 }
 
 #: Experiments accepting a ``workers=N`` keyword (their inner sweeps
-#: run on the campaign runner and parallelise across processes).
+#: drain through the campaign queue and parallelise across processes).
 PARALLEL_EXPERIMENTS = frozenset({"e8", "e10", "e15", "e19", "e21", "e22"})
 
 

@@ -80,9 +80,9 @@ def replicate_gains(
 
     Returns interval estimates for the computational-efficiency gain,
     the makespan (scheduling-efficiency) gain, and the mean-wait gain,
-    each as a fraction (0.15 = +15 %).  The per-seed simulations run
-    on the campaign runner; ``workers > 1`` fans them out over a
-    process pool with identical results.
+    each as a fraction (0.15 = +15 %).  The per-seed simulations drain
+    through the campaign queue; ``workers > 1`` fans them out over a
+    worker fleet with identical results.
     """
     if len(seeds) < 2:
         raise ConfigError("replication needs at least 2 seeds")

@@ -1,16 +1,19 @@
 """Generic strategy-comparison and parameter-sweep helpers.
 
 Sweep-style experiments route their per-point simulations through
-:func:`run_params_many`, which executes declarative run-parameter
-dicts (see :mod:`repro.campaign.spec`) on the campaign runner — in
-process for ``workers=1``, fanned out over a process pool otherwise.
-Both paths execute the identical entry function, so parallelising a
+:func:`run_params_many`, which enqueues declarative run-parameter
+dicts (see :mod:`repro.campaign.spec`) in a store's durable work
+queue and drains it (see :mod:`repro.campaign.queue`) — in process
+for ``workers=1``, by a ``repro queue work`` fleet otherwise.  Every
+worker executes the identical entry function, so parallelising a
 sweep never changes its numbers.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.errors import CampaignError
@@ -51,39 +54,49 @@ def compare_strategies(
 def run_params_many(
     params_list: Sequence[Mapping[str, object]],
     workers: int = 1,
-    store: "object | None" = None,
+    store: str | Path | None = None,
     timeout: float | None = None,
     retries: int = 2,
     backoff: float = 0.5,
-    progress: "object | None" = None,
 ) -> list[dict[str, object]]:
     """Execute declarative run params, one result payload per input.
 
-    Duplicate params execute once and share their payload.  Raises
-    :class:`~repro.errors.CampaignError` if any run exhausts its
-    retries, since a sweep with holes cannot be tabulated.
+    The runs drain through the work queue of the *store* directory,
+    or of a temporary one that is removed afterwards.  Duplicate
+    params execute once and share their payload.  A run over its
+    *timeout* seconds is quarantined.  Sweep simulations run without a
+    snapshot dir, so they never poll for a stop: with ``workers > 1``
+    the fleet worker exits to abandon such a run ``suspend_grace``
+    seconds after its deadline; with ``workers=1`` the run finishes
+    and is then quarantined, not returned.  Raises
+    :class:`~repro.errors.CampaignError` if any run fails, since a
+    sweep with holes cannot be tabulated.
     """
-    from repro.campaign.runner import CampaignRunner
+    from repro.campaign.queue import run_campaign
     from repro.campaign.spec import RunSpec
 
     runs = [RunSpec.from_params(p) for p in params_list]
-    unique: dict[str, RunSpec] = {}
-    for run in runs:
-        unique.setdefault(run.run_id, run)
-    runner = CampaignRunner(
-        store=store,  # type: ignore[arg-type]
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        progress=progress,  # type: ignore[arg-type]
-    )
-    outcome = runner.run(list(unique.values()))
+    unique = list({run.run_id: run for run in runs}.values())
+    config: dict[str, object] = {
+        "retries": retries,
+        "backoff": backoff,
+        "deadline_s": timeout or 0.0,
+    }
+    if store is None:
+        # A throwaway store needs no fleet event sidecars.
+        config["metrics"] = False
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as root:
+            outcome = run_campaign(root, unique, workers=workers, config=config)
+    else:
+        outcome = run_campaign(store, unique, workers=workers, config=config)
     if not outcome.ok:
-        first = outcome.failures[0]
+        problems = [
+            f"{lost.label or lost.run_id} — {lost.error}"
+            for lost in (*outcome.failures, *outcome.quarantined)
+        ] or [f"the drain ended {outcome.status}"]
         raise CampaignError(
-            f"{outcome.failed} of {len(unique)} sweep runs failed; "
-            f"first: {first.label or first.run_id} — {first.error}"
+            f"{len(unique) - len(outcome.results)} of {len(unique)} sweep "
+            f"runs failed; first: {problems[0]}"
         )
     return [
         outcome.results[run.run_id]["result"]  # type: ignore[index]

@@ -32,10 +32,12 @@ terminates in exactly one segment, segments execute in order, and
 the snapshot layer restores the simulation world exactly.
 
 Each window is a content-hashed campaign run (``kind":
-"replay_window"``), so the PR-1 runner provides caching, retry,
-store locking and progress for free; the *chain id* — the hash of
-the params minus the window index — names the boundary snapshots
-and columnar idempotence marks.
+"replay_window"``) enqueued in the store's durable work queue (see
+:mod:`repro.campaign.queue`) and drained in-process, so caching,
+store locking, RSS shedding and the fleet event sidecar come for
+free.  Items are claimed in enqueue order, which is window order.
+The *chain id* — the hash of the params minus the window index —
+names the boundary snapshots and columnar idempotence marks.
 """
 
 from __future__ import annotations
@@ -55,13 +57,11 @@ from repro.archive.columnar import (
     job_records_to_array,
 )
 from repro.archive.ingest import Archive, load_archive
-from repro.campaign.runner import CampaignResult, CampaignRunner
+from repro.campaign.queue import CampaignResult, run_campaign
 from repro.campaign.spec import RunSpec, run_id_of
-from repro.campaign.store import ResultStore
 from repro.errors import ConfigError, SnapshotError
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.job import JobState
-from repro.snapshot.guards import ResourceGuards
 
 #: Subdirectory of a replay store holding the columnar results.
 COLUMNAR_DIR_NAME = "columnar"
@@ -130,8 +130,8 @@ def execute_replay_window(
 ) -> dict[str, object]:
     """Execute one window of a replay chain (campaign entry function).
 
-    Module-level and driven by string directories so the campaign
-    runner can ``partial`` it and stay picklable.  Returns a
+    Module-level and driven by string directories, so
+    :func:`replay_archive` binds them with ``partial``.  Returns a
     deterministic payload; everything bulky (per-job records) goes to
     the columnar store, everything nondeterministic (wall clock) to
     the telemetry sidecar.
@@ -280,17 +280,20 @@ def replay_archive(
     strategy: str = "easy_backfill",
     num_nodes: int = 128,
     config: Mapping[str, object] | None = None,
-    guards: ResourceGuards | None = None,
-    progress: Callable | None = None,
+    rss_budget_mb: float = 0.0,
+    note: Callable[[str], None] | None = None,
     telemetry_dir: str | Path | None = None,
     install_signal_handlers: bool = False,
 ) -> ReplayOutcome:
     """Replay a whole ingested archive, window by window.
 
-    Windows execute serially in order (window ``k+1`` restores the
-    snapshot window ``k`` wrote — there is no window parallelism to
-    exploit *within* one chain; run different strategies as separate
-    chains for that).  Completed windows are cached in the campaign
+    The windows are enqueued with ``retries: 0`` (window state is
+    consumed; a blind retry cannot help) and drained by one
+    in-process worker, strictly in window order (window ``k+1``
+    restores the snapshot window ``k`` wrote — there is no window
+    parallelism to exploit *within* one chain; run different
+    strategies as separate chains for that).  A worker over *rss_budget_mb* stops after its
+    current window.  Completed windows are cached in the campaign
     store and their columnar appends are idempotent, so an
     interrupted replay re-run picks up where it stopped.  On full
     success the boundary snapshots are deleted and a stitched
@@ -323,16 +326,15 @@ def replay_archive(
             str(telemetry_dir) if telemetry_dir is not None else None
         ),
     )
-    runner = CampaignRunner(
-        store=ResultStore(store_dir),
-        workers=1,  # chain order is a correctness requirement
-        retries=0,  # window state is consumed; a blind retry cannot help
+    campaign = run_campaign(
+        store_dir,
+        runs,
+        config={"retries": 0, "rss_budget_mb": float(rss_budget_mb)},
         entry=entry,
-        guards=guards,
-        progress=progress,
+        note=note,
         install_signal_handlers=install_signal_handlers,
+        in_order=True,  # window k+1 restores window k's boundary
     )
-    campaign = runner.run(runs)
     stitched: dict[str, object] | None = None
     if campaign.ok:
         stitched = stitched_summary(columnar_dir)

@@ -13,16 +13,19 @@ The subsystem has four layers:
     On-disk artifact store (one JSON per run id, atomic rename),
     giving free caching and checkpoint/resume of interrupted
     campaigns.
-:mod:`repro.campaign.progress`
-    Structured progress events (completed/failed/cached counts,
-    throughput, ETA) with text rendering and JSONL recording.
-:mod:`repro.campaign.runner`
-    The executor: a ``ProcessPoolExecutor`` fan-out with per-run
-    timeout, bounded retry with backoff and worker-crash recovery,
-    plus a serial fallback producing bit-identical results.
+:mod:`repro.campaign.lease`
+    Per-claim lease files with heartbeats and fencing tokens.
+:mod:`repro.campaign.queue`
+    The one executor: every campaign, sweep and archive replay is
+    enqueued under ``<store>/.queue/`` and drained by one in-process
+    worker or a ``repro queue work`` fleet, with retry and backoff,
+    poison-run quarantine, deadlines, RSS shedding and graceful
+    SIGTERM.  :func:`~repro.campaign.queue.run_campaign` is the
+    library entry; its :class:`~repro.campaign.queue.CampaignResult`
+    is the report read back from the store.
 
-The picklable per-run entry point lives in :mod:`repro.slurm.entry`
-so worker processes import only what a run needs.
+The per-run entry point lives in :mod:`repro.slurm.entry` so worker
+processes import only what a run needs.
 """
 
 from repro.campaign.backend import (
@@ -31,8 +34,13 @@ from repro.campaign.backend import (
     ResultBackend,
     detect_backend,
 )
-from repro.campaign.progress import ProgressEvent, ProgressTracker
-from repro.campaign.runner import CampaignResult, CampaignRunner, RunFailure
+from repro.campaign.queue import (
+    CampaignResult,
+    QueueWorker,
+    RunFailure,
+    WorkQueue,
+    run_campaign,
+)
 from repro.campaign.spec import (
     CampaignSpec,
     RunSpec,
@@ -46,20 +54,20 @@ from repro.campaign.store import ResultStore
 
 __all__ = [
     "CampaignResult",
-    "CampaignRunner",
     "CampaignSpec",
     "ColumnarBackend",
     "JsonStoreBackend",
     "ResultBackend",
     "detect_backend",
-    "ProgressEvent",
-    "ProgressTracker",
+    "QueueWorker",
     "ResultStore",
     "RunFailure",
     "RunSpec",
     "campaign_workload",
     "inline_workload",
+    "run_campaign",
     "run_id_of",
     "simulate_params",
     "trinity_workload",
+    "WorkQueue",
 ]

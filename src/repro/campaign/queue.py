@@ -1,14 +1,16 @@
-"""Durable multi-process campaign queue: claim, execute, reclaim.
+"""The campaign executor: a durable queue, claimed and drained.
 
-The campaign runner (:mod:`repro.campaign.runner`) is one process
-owning a whole store.  This module turns the same store into a
-**cooperative drain**: every pending run becomes a claimable *item*
-under ``<store>/.queue/``, and any number of worker processes —
-``repro queue work <store>``, or the fleet a ``repro campaign
---join`` parent spawns — pull items, execute them, and commit results
-through the existing atomic :class:`~repro.campaign.store.ResultStore`
-write path.  Workers hold the store's advisory lock in *shared* mode,
-so a classic exclusive campaign can never interleave with a drain.
+Every campaign, sweep and archive replay runs through this module.
+The pending runs of a store become claimable *items* under
+``<store>/.queue/``; one :class:`QueueWorker` drains them in-process
+(``repro campaign --workers 1``, :func:`run_campaign` with one
+worker), or a fleet of ``repro queue work <store>`` processes does
+(:func:`drain_with_workers`).  Any number of extra workers may join a
+store at any time.  Results commit through the atomic
+:class:`~repro.campaign.store.ResultStore` write path, so the record
+bytes do not depend on how many workers drained the queue.  Workers
+hold the store's advisory lock in *shared* mode, so an exclusive
+holder (``fsck --repair``) never interleaves with a drain.
 
 Layout (everything dot-hidden from result globs and fingerprints)::
 
@@ -17,14 +19,16 @@ Layout (everything dot-hidden from result globs and fingerprints)::
         items/<run_id>.json    pending/claimed work items
         leases/<run_id>.lease  per-claim lease files (see lease.py)
         failed/<run_id>.json   terminal: attempts exhausted
-        quarantined/<run_id>.json  terminal: deadline / delivery budget
-        logs/worker-<n>.log    join-mode child output
+        quarantined/<run_id>.json  terminal: poison run, deadline,
+                               or delivery budget
+        metrics/               fleet event sidecars (the progress log)
+        logs/worker-<n>.log    fleet worker output
 
-**Claim protocol.**  A worker scans ``items/`` in sorted order and,
-for each eligible item (no live lease, ``not_before`` due, delivery
-budget left, result not already in the store), tries an ``O_EXCL``
-lease create carrying the *provisional* fencing token ``item.token +
-1``.  The winner re-reads the item, bumps ``token`` and
+**Claim protocol.**  A worker scans ``items/`` in ``seq`` (enqueue)
+order and, for each eligible item (no live lease, ``not_before`` due,
+delivery budget left, result not already in the store), tries an
+``O_EXCL`` lease create carrying the *provisional* fencing token
+``item.token + 1``.  The winner re-reads the item, bumps ``token`` and
 ``deliveries`` with an atomic rewrite, and stamps the (rarely
 different) authoritative token back into its lease.  Losers just move
 on — no retries, no waiting.
@@ -45,12 +49,26 @@ between any two steps is recovered without execution: the next
 claimant (or reclaim pass) sees the result already in the store and
 simply retires the item.
 
-**Degradation ladder** (wired in :class:`QueueWorker`): a disk-space
-trip pauses claiming; an RSS trip sheds the leased run back to the
-queue (with its snapshot, no delivery penalty) and recycles the
-worker; a per-run deadline converts a runaway run into a quarantine
-item; SIGTERM requeues the in-flight run within ``suspend_grace`` and
-exits 4; a lost lease (fencing) discards the in-flight result.
+**Degradation ladder** (wired in :class:`QueueWorker`): a failed
+attempt retries with exponential backoff until ``retries`` run out; a
+run whose watchdog trips ``quarantine_after`` times is a *poison run*
+and is quarantined with its replay bundle at once; a disk-space trip
+pauses claiming; an RSS trip sheds the leased run back to the queue
+(with its snapshot, no delivery penalty) and recycles the worker; a
+per-run deadline converts a runaway run into a quarantine item;
+SIGTERM requeues the in-flight run within ``suspend_grace`` and exits
+4; a lost lease (fencing) discards the in-flight result.
+
+**Deadlines.**  A run over ``deadline_s`` is first asked to stop at
+its next suspend poll (simulations with a snapshot dir poll at every
+event).  A run that does not poll (an ``experiment`` run, a
+simulation without a snapshot dir, a hang in native code) gets
+``suspend_grace`` more seconds; then a ``repro queue work`` worker
+quarantines it and exits with :data:`EXIT_ABANDONED`, the only way to
+stop it, and the fleet supervisor respawns the worker.  An in-process
+drain cannot stop its caller: there a run that does not poll runs to
+the end, and is quarantined, not committed, because it finished over
+its deadline.
 """
 
 from __future__ import annotations
@@ -64,6 +82,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -76,10 +95,17 @@ from repro.campaign.lease import (
 )
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore, StoreLock
-from repro.errors import CampaignError, ConfigError, SuspendRequested
+from repro.diagnostics.quarantine import QuarantinedRun
+from repro.errors import (
+    CampaignError,
+    ConfigError,
+    SuspendRequested,
+    WatchdogError,
+)
 from repro.faultinject import backoff_delay, failpoint_write, with_io_retries
 from repro.snapshot import suspend as _suspend
 from repro.snapshot.guards import disk_free_mb, rss_mb_of
+from repro.snapshot.state import snapshot_path_for
 
 log = logging.getLogger("repro.campaign.queue")
 
@@ -99,6 +125,10 @@ DEFAULT_MAX_DELIVERIES = 5
 
 #: Worker-fleet respawn budget multiplier for join mode.
 RESPAWN_BUDGET_PER_WORKER = 4
+
+#: Exit status of a ``repro queue work`` worker that quarantined a run
+#: which overran its deadline without stopping, and exited to abandon it.
+EXIT_ABANDONED = 3
 
 #: Backoff schedule for redelivery ``not_before`` stamps — the same
 #: deterministic jittered curve the I/O retry layer uses, scaled up
@@ -339,11 +369,17 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # Claim / fence / commit
     # ------------------------------------------------------------------
-    def claim_next(self) -> tuple[QueueItem, int] | None:
+    def claim_next(
+        self, *, in_order: bool = False
+    ) -> tuple[QueueItem, int] | None:
         """Claim the first eligible item; ``(item, token)`` or None.
 
-        The returned *item* reflects the post-claim state (token and
-        delivery count bumped); *token* is the claim's fencing token.
+        With *in_order*, only the first pending item may be claimed:
+        a chain whose runs depend on their predecessors (replay
+        windows) waits for a backed-off or leased head instead of
+        skipping past it.  The returned *item* reflects the
+        post-claim state (token and delivery count bumped); *token*
+        is the claim's fencing token.
         """
         now = self._clock()
         for item in self.iter_items():
@@ -353,9 +389,9 @@ class WorkQueue:
                 # finish the retirement, no execution needed.
                 self._remove_item(run_id)
                 continue
-            if item.not_before > now:
-                continue
-            if self.leases.path_for(run_id).exists():
+            if item.not_before > now or self.leases.path_for(run_id).exists():
+                if in_order:
+                    return None
                 continue
             if item.deliveries >= self.max_deliveries:
                 self.quarantine_item(
@@ -369,6 +405,8 @@ class WorkQueue:
                 )
                 continue
             if not self.leases.claim(run_id, item.token + 1):
+                if in_order:
+                    return None
                 continue  # lost the race; the winner has it
             fresh = self.read_item(run_id)
             if fresh is None or self.store.has(run_id):
@@ -485,13 +523,16 @@ class WorkQueue:
         self._atomic_write(target / f"{item.run_id}.json", data, name=None)
         self._remove_item(item.run_id)
 
-    def fail_item(self, item: QueueItem, token: int, error: str) -> bool:
+    def fail_item(
+        self, item: QueueItem, token: int, error: str, attempts: int = 1
+    ) -> bool:
         """Terminal failure (attempts exhausted); token-guarded."""
         fresh = self.read_item(item.run_id)
         if fresh is None or fresh.token != token:
             return False
         doc = fresh.to_dict()
         doc["error"] = error
+        doc["attempts"] = attempts
         doc["status"] = "failed"
         self._terminate(fresh, self.failed_dir, doc)
         self._emit(
@@ -502,9 +543,16 @@ class WorkQueue:
         return True
 
     def quarantine_item(
-        self, item: QueueItem, *, reason: str, token: int | None = None
+        self,
+        item: QueueItem,
+        *,
+        reason: str,
+        token: int | None = None,
+        details: Mapping[str, object] | None = None,
     ) -> bool:
-        """Terminal quarantine (deadline blown, delivery budget spent).
+        """Terminal quarantine (poison run, deadline blown, delivery
+        budget spent); *details* (error, incidents, bundle) join the
+        terminal document.
 
         With *token* given the move is fenced like :meth:`fail_item`;
         without (the claim-time budget check) the item is moved as-is.
@@ -515,6 +563,7 @@ class WorkQueue:
         if token is not None and fresh.token != token:
             return False
         doc = fresh.to_dict()
+        doc.update(details or {})
         doc["reason"] = reason
         doc["status"] = "quarantined"
         self._terminate(fresh, self.quarantined_dir, doc)
@@ -667,12 +716,13 @@ def has_queue(store_root: str | Path) -> bool:
 # Worker
 # ----------------------------------------------------------------------
 
-#: Defaults for ``config.json``; the join parent overrides from the
-#: campaign settings so ``repro queue work`` needs no flags at all.
+#: Defaults for ``config.json``; ``repro campaign`` overrides them from
+#: the campaign settings so ``repro queue work`` needs no flags at all.
 DEFAULT_WORKER_CONFIG: dict[str, object] = {
     "retries": 2,
     "backoff": 0.5,
     "deadline_s": 0.0,          # 0 = no per-run deadline
+    "quarantine_after": 2,      # watchdog trips per claim; 0 = never
     "heartbeat_s": DEFAULT_HEARTBEAT_S,
     "ttl_s": DEFAULT_TTL_S,
     "max_deliveries": DEFAULT_MAX_DELIVERIES,
@@ -688,6 +738,35 @@ DEFAULT_WORKER_CONFIG: dict[str, object] = {
     # on costs a few fsync'd appends per run and changes no result.
     "metrics": True,
 }
+
+
+#: Config keys that must be non-negative numbers.
+_NON_NEGATIVE_KEYS = (
+    "retries", "backoff", "deadline_s", "quarantine_after",
+    "rss_budget_mb", "disk_min_free_mb",
+)
+
+
+def build_entry(
+    bundle_dir: str | Path | None = None,
+    snapshot_dir: str | Path | None = None,
+    snapshot_every: str | None = None,
+    telemetry_dir: str | Path | None = None,
+) -> Callable[[Mapping[str, object]], dict[str, object]]:
+    """The default run entry, :func:`repro.slurm.entry.execute_run`,
+    with the worker's bundle, snapshot and telemetry directories."""
+    from repro.slurm.entry import execute_run
+
+    kwargs: dict[str, str] = {}
+    if bundle_dir:
+        kwargs["bundle_dir"] = str(bundle_dir)
+    if snapshot_dir:
+        kwargs["snapshot_dir"] = str(snapshot_dir)
+        if snapshot_every:
+            kwargs["snapshot_every"] = snapshot_every
+    if telemetry_dir:
+        kwargs["telemetry_dir"] = str(telemetry_dir)
+    return partial(execute_run, **kwargs) if kwargs else execute_run
 
 
 @dataclass
@@ -729,11 +808,18 @@ class QueueWorker:
         note: Callable[[str], None] | None = None,
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
+        in_order: bool = False,
+        hard_stop: bool = False,
     ) -> None:
         probe = WorkQueue(store_root)  # ensures layout, reads config
         merged = dict(DEFAULT_WORKER_CONFIG)
         merged.update(probe.read_config())
         merged.update(config or {})
+        for key in _NON_NEGATIVE_KEYS:
+            if float(merged[key] or 0) < 0:  # type: ignore[arg-type]
+                raise ConfigError(
+                    f"{key} must be >= 0, got {merged[key]}"
+                )
         self.config = merged
         self.queue = WorkQueue(
             store_root,
@@ -745,6 +831,12 @@ class QueueWorker:
         if merged.get("metrics"):
             self.queue.arm_events()
         self.install_signal_handlers = install_signal_handlers
+        #: Claim strictly in enqueue order (see WorkQueue.claim_next).
+        self.in_order = in_order
+        #: May exit the process to abandon a run that overruns its
+        #: deadline and does not stop (fleet workers only: an
+        #: in-process drain must not kill its caller).
+        self.hard_stop = hard_stop
         self._note = note or (lambda message: None)
         self._clock = clock
         self._sleep = sleep
@@ -758,25 +850,34 @@ class QueueWorker:
         self._fenced = False
         self._shed = False
         self._deadline_hit = False
+        # True while the entry executes; the monitor abandons a run
+        # only then, never while the main thread settles its result.
+        self._entry_lock = threading.Lock()
+        self._in_entry = False
+        self._claimed: tuple[QueueItem, int] | None = None
 
     def _build_entry(self) -> Callable:
-        from repro.campaign.runner import _default_entry
-
         cfg = self.config
-        return _default_entry(
-            Path(cfg["bundle_dir"]) if cfg.get("bundle_dir") else None,
-            Path(cfg["snapshot_dir"]) if cfg.get("snapshot_dir") else None,
+        return build_entry(
+            cfg.get("bundle_dir"),  # type: ignore[arg-type]
+            cfg.get("snapshot_dir"),  # type: ignore[arg-type]
             cfg.get("snapshot_every"),  # type: ignore[arg-type]
-            Path(cfg["telemetry_dir"]) if cfg.get("telemetry_dir") else None,
+            cfg.get("telemetry_dir"),  # type: ignore[arg-type]
         )
 
     # ------------------------------------------------------------------
     def _on_lease_lost(self, run_id: str) -> None:
         """Heartbeat callback: our claim was reclaimed.  Fence the
         in-flight execution — ask it to stop at the next event
-        boundary and mark the result for discard."""
-        self._fenced = True
-        _suspend.request_suspend()
+        boundary and mark the result for discard.  A heartbeat that
+        lost a race with our own release of the lease (the run was
+        settled, or belongs to an earlier claim) asks for no stop."""
+        with self._entry_lock:
+            if self._claimed is None or self._claimed[0].run_id != run_id:
+                return
+            self._fenced = True
+            if self._in_entry:
+                _suspend.request_suspend()
 
     # ------------------------------------------------------------------
     def drain(self) -> WorkerOutcome:
@@ -819,7 +920,7 @@ class QueueWorker:
                     )
                     self._sleep(2.0)
                     continue
-            claimed = self.queue.claim_next()
+            claimed = self.queue.claim_next(in_order=self.in_order)
             if claimed is None:
                 if self.queue.drained():
                     return
@@ -848,7 +949,9 @@ class QueueWorker:
             self.queue._emit("fenced", item.run_id, token=token)
             return
         self.queue._emit("renew", item.run_id, token=token)
+        self._claimed = (item, token)
         self._keeper.watch(item.run_id)
+        signals = _suspend.signals_received()
         stop = threading.Event()
         monitor = threading.Thread(
             target=self._monitor_run,
@@ -859,7 +962,9 @@ class QueueWorker:
         monitor.start()
         retries = int(self.config["retries"])
         backoff = float(self.config["backoff"])
-        attempt = 0
+        quarantine_after = int(self.config["quarantine_after"] or 0)
+        attempt = incidents = 0
+        started = self._clock()
         self._note(
             f"run {item.run_id} claimed (token {token}, "
             f"delivery {item.deliveries})"
@@ -880,7 +985,18 @@ class QueueWorker:
                     outcome.status = "suspended"
                     return
                 except Exception as exc:
+                    if self._deadline_hit:
+                        self._quarantine_overrun(item, token, outcome)
+                        return
                     error = f"{type(exc).__name__}: {exc}"
+                    if isinstance(exc, WatchdogError) and quarantine_after:
+                        incidents += 1
+                        if incidents >= quarantine_after:
+                            self._isolate_poison(
+                                item, token, exc, incidents,
+                                self._clock() - started, outcome,
+                            )
+                            return
                     if attempt <= retries:
                         self._note(
                             f"run {item.run_id} attempt {attempt} failed "
@@ -888,18 +1004,77 @@ class QueueWorker:
                         )
                         self._sleep(backoff * (2.0 ** (attempt - 1)))
                         continue
-                    if self.queue.fail_item(item, token, error):
+                    if self.queue.fail_item(item, token, error, attempt):
                         outcome.failed += 1
                         self._note(f"run {item.run_id} FAILED: {error}")
                     else:
                         outcome.fenced += 1
                     return
                 else:
-                    self._commit(item, token, payload, attempt, outcome)
+                    if self._deadline_hit:
+                        # It finished, but over its deadline without
+                        # reaching a suspend poll: the deadline holds.
+                        self._quarantine_overrun(item, token, outcome)
+                    else:
+                        self._commit(item, token, payload, attempt, outcome)
                     return
         finally:
             stop.set()
+            monitor.join()
             self._keeper.unwatch(item.run_id)
+            if outcome.status == "drained" and (
+                self._shed or self._deadline_hit or self._fenced
+            ):
+                # The run ended before it saw the monitor's or the
+                # heartbeat's suspend request: withdraw the request,
+                # and still recycle a worker over its RSS budget.
+                _suspend.reset()
+                if self._shed:
+                    outcome.status = "shed"
+            if (
+                _suspend.signals_received() > signals
+                and outcome.status == "drained"
+                and not _suspend.suspend_requested()
+            ):
+                # A SIGTERM/SIGINT arrived during the run, but a reset
+                # (above, or the entry's own) cleared it: raise it
+                # again so the drain loop stops cleanly.
+                _suspend.request_suspend()
+
+    def _isolate_poison(
+        self,
+        item: QueueItem,
+        token: int,
+        exc: Exception,
+        incidents: int,
+        elapsed_s: float,
+        outcome: WorkerOutcome,
+    ) -> None:
+        """Quarantine a run whose watchdog tripped ``quarantine_after``
+        times, with the replay bundle the entry captured for it."""
+        snapshot = None
+        if self.config.get("snapshot_dir"):
+            path = snapshot_path_for(
+                str(self.config["snapshot_dir"]), item.run_id
+            )
+            snapshot = str(path) if path.is_file() else None
+        error = f"{type(exc).__name__}: {exc}"
+        if self.queue.quarantine_item(
+            item,
+            token=token,
+            reason=f"poison run: {incidents} watchdog trips ({error})",
+            details={
+                "error": error,
+                "incidents": incidents,
+                "bundle": getattr(exc, "bundle_path", None),
+                "snapshot": snapshot,
+                "elapsed_s": elapsed_s,
+            },
+        ):
+            outcome.quarantined += 1
+            self._note(f"run {item.run_id} quarantined (poison: {error})")
+        else:
+            outcome.fenced += 1
 
     def _commit(
         self,
@@ -921,8 +1096,8 @@ class QueueWorker:
             )
             self._note(f"run {item.run_id} fenced (token {token} stale)")
             return
-        # Identical record shape to CampaignRunner._record, so a
-        # queue-drained store is byte-identical to a runner-owned one.
+        # One record shape for every drain, so a store's bytes do
+        # not depend on how many workers drained it.
         record = {
             "run_id": item.run_id,
             "label": item.label,
@@ -956,19 +1131,7 @@ class QueueWorker:
             return
         if self._deadline_hit:
             _suspend.reset()
-            deadline = float(self.config["deadline_s"])
-            if self.queue.quarantine_item(
-                item,
-                token=token,
-                reason=(
-                    f"run exceeded its {deadline:.0f}s deadline budget "
-                    f"on delivery {item.deliveries}"
-                ),
-            ):
-                outcome.quarantined += 1
-                self._note(f"run {item.run_id} quarantined (deadline)")
-            else:
-                outcome.fenced += 1
+            self._quarantine_overrun(item, token, outcome)
             return
         if self._shed:
             _suspend.reset()
@@ -992,6 +1155,27 @@ class QueueWorker:
         outcome.status = "suspended"
         self._note(f"run {item.run_id} requeued (suspend); draining")
 
+    def _quarantine_overrun(
+        self,
+        item: QueueItem,
+        token: int,
+        outcome: WorkerOutcome,
+        abandoned: bool = False,
+    ) -> None:
+        """Quarantine a run that went over its deadline budget."""
+        deadline = float(self.config["deadline_s"])
+        reason = (
+            f"run exceeded its {deadline:g}s deadline budget "
+            f"on delivery {item.deliveries}"
+        )
+        if abandoned:
+            reason += "; it did not stop, so its worker exited"
+        if self.queue.quarantine_item(item, token=token, reason=reason):
+            outcome.quarantined += 1
+            self._note(f"run {item.run_id} quarantined (deadline)")
+        else:
+            outcome.fenced += 1
+
     # ------------------------------------------------------------------
     def _monitor_run(self, stop: threading.Event) -> None:
         """Per-run watchdog thread: deadline budget + RSS self-probe."""
@@ -1000,17 +1184,47 @@ class QueueWorker:
         if deadline_s <= 0 and rss_budget <= 0:
             return
         started = self._clock()
-        while not stop.wait(0.2):
+        while True:
             if deadline_s > 0 and self._clock() - started >= deadline_s:
                 self._deadline_hit = True
                 _suspend.request_suspend()
+                if self.hard_stop:
+                    self._abandon_after_grace(stop)
                 return
             if rss_budget > 0:
+                # Probed at claim time too: a worker already over its
+                # budget sheds the run before it grows further.
                 rss = rss_mb_of(os.getpid())
                 if rss is not None and rss > rss_budget:
                     self._shed = True
                     _suspend.request_suspend()
                     return
+            if stop.wait(0.2):
+                return
+
+    def _abandon_after_grace(self, stop: threading.Event) -> None:
+        """Give the claimed run, over its deadline, ``suspend_grace``
+        seconds to reach a suspend poll; if its entry is still
+        executing then, quarantine it and exit the process."""
+        if stop.wait(float(self.config["suspend_grace"] or 0.0)):
+            return
+        assert self._claimed is not None
+        item, token = self._claimed
+        while True:
+            with self._entry_lock:
+                if self._in_entry:
+                    # The lock stays held until the process is gone,
+                    # so the main thread cannot settle the run too.
+                    self._note(
+                        f"run {item.run_id} ignored its deadline; "
+                        f"abandoning it"
+                    )
+                    self._quarantine_overrun(
+                        item, token, WorkerOutcome(), abandoned=True
+                    )
+                    os._exit(EXIT_ABANDONED)
+            if stop.wait(0.2):
+                return
 
     # ------------------------------------------------------------------
     def _execute_item(self, item: QueueItem) -> dict[str, object]:
@@ -1020,11 +1234,15 @@ class QueueWorker:
         from repro.observability.events import set_current_trace
 
         previous = set_current_trace(item.extra.get("trace"))
+        with self._entry_lock:
+            self._in_entry = True
         try:
             if item.params.get("kind") == "replay_chain":
                 return self._execute_replay_chain(item)
             return self.entry(item.params)
         finally:
+            with self._entry_lock:
+                self._in_entry = False
             set_current_trace(previous)
 
     def _execute_replay_chain(self, item: QueueItem) -> dict[str, object]:
@@ -1229,6 +1447,194 @@ def _terminate_fleet(
             say(f"worker {index} ignored SIGTERM; killing")
             proc.kill()
             outcome.worker_exits[index] = proc.wait()
+
+
+# ----------------------------------------------------------------------
+# Campaign entry point: enqueue, drain, report
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunFailure:
+    """A run whose attempts were exhausted."""
+
+    run_id: str
+    label: str
+    attempts: int
+    error: str
+
+
+@dataclass(frozen=True)
+class SuspendedRun:
+    """A run handed back to the queue by a shutdown or an RSS shed.
+
+    ``snapshot`` is the state file its next claim resumes from;
+    ``None`` means the run restarts from scratch (still correct — just
+    slower — because runs are deterministic).
+    """
+
+    run_id: str
+    label: str
+    snapshot: str | None = None
+
+
+@dataclass
+class CampaignResult:
+    """One campaign drain, read back from its store and queue."""
+
+    order: list[str]
+    results: dict[str, dict[str, object]]
+    failures: list[RunFailure] = field(default_factory=list)
+    quarantined: list[QuarantinedRun] = field(default_factory=list)
+    suspended: list[SuspendedRun] = field(default_factory=list)
+    completed: int = 0
+    cached: int = 0
+    elapsed_s: float = 0.0
+    #: How the drain ended: drained | suspended | shed | stalled.
+    status: str = "drained"
+    workers: int = 1
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def interrupted(self) -> bool:
+        """A shutdown or an RSS shed cut the drain short."""
+        return self.status in ("suspended", "shed")
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.status == "drained"
+            and not self.failures
+            and not self.quarantined
+        )
+
+    def records(self) -> list[dict[str, object]]:
+        """Stored result records, in campaign order."""
+        return [self.results[rid] for rid in self.order if rid in self.results]
+
+    def payloads(self) -> list[dict[str, object] | None]:
+        """Entry payload per run in campaign order; None where missing."""
+        return [
+            self.results[rid]["result"] if rid in self.results else None  # type: ignore[misc]
+            for rid in self.order
+        ]
+
+
+def campaign_result(
+    queue: WorkQueue,
+    runs: Sequence[RunSpec],
+    *,
+    cached: int = 0,
+    status: str = "drained",
+    elapsed_s: float = 0.0,
+    workers: int = 1,
+) -> CampaignResult:
+    """The report of *runs* as their store and queue now stand."""
+    labels = {run.run_id: run.label for run in runs}
+    result = CampaignResult(
+        order=list(labels), results={}, cached=cached, status=status,
+        elapsed_s=elapsed_s, workers=workers,
+    )
+    failed = set(queue.terminal_ids("failed"))
+    quarantined = set(queue.terminal_ids("quarantined"))
+    for run_id, label in labels.items():
+        if queue.store.has(run_id):
+            result.results[run_id] = queue.store.load(run_id)
+        elif run_id in failed:
+            doc = queue.read_terminal("failed", run_id)
+            result.failures.append(RunFailure(
+                run_id, label, int(doc.get("attempts", 1)),  # type: ignore[arg-type]
+                str(doc.get("error", "")),
+            ))
+        elif run_id in quarantined:
+            doc = queue.read_terminal("quarantined", run_id)
+            result.quarantined.append(QuarantinedRun(
+                run_id=run_id,
+                label=label,
+                incidents=int(doc.get("incidents", doc.get("deliveries", 0))),  # type: ignore[arg-type]
+                error=str(doc.get("error") or doc.get("reason", "")),
+                params=dict(doc.get("params", {})),  # type: ignore[arg-type]
+                bundle=doc.get("bundle"),  # type: ignore[arg-type]
+                elapsed_s=float(doc.get("elapsed_s", 0.0)),  # type: ignore[arg-type]
+                snapshot=doc.get("snapshot"),  # type: ignore[arg-type]
+            ))
+    result.completed = max(0, len(result.results) - cached)
+    if status != "drained":
+        result.suspended = [
+            SuspendedRun(item.run_id, item.label, item.extra.get("snapshot"))
+            for item in queue.iter_items()
+            if item.run_id in labels and item.extra.get("requeued")
+        ]
+    return result
+
+
+def run_campaign(
+    store_root: str | Path,
+    runs: Sequence[RunSpec],
+    *,
+    workers: int = 1,
+    config: Mapping[str, object] | None = None,
+    entry: Callable | None = None,
+    extras: Mapping[str, Mapping[str, object]] | None = None,
+    note: Callable[[str], None] | None = None,
+    install_signal_handlers: bool = False,
+    sleep: Callable[[float], None] = time.sleep,
+    in_order: bool = False,
+) -> CampaignResult:
+    """Enqueue *runs* under *store_root*, drain them, and report.
+
+    *config*, when given, becomes the queue's ``config.json`` first.
+    With one worker the drain runs in this process, through *entry*
+    when given and strictly in run order with *in_order*; more
+    workers drain as a ``repro queue work`` fleet, which runs the
+    default entry.  Runs already in the store are cached: they are
+    not enqueued again.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if (entry is not None or in_order) and workers > 1:
+        raise ConfigError(
+            "a custom entry or an in-order drain runs in-process only "
+            "(workers=1); fleet workers run the default entry"
+        )
+    started = time.monotonic()
+    queue = WorkQueue(store_root)
+    if config is not None:
+        queue.write_config(config)
+    if queue.read_config().get("metrics", True):
+        queue.arm_events()
+    cached = sum(1 for run in runs if queue.store.has(run.run_id))
+    queue.enqueue(runs, extras=extras)
+    if workers == 1:
+        status = QueueWorker(
+            store_root,
+            entry=entry,
+            install_signal_handlers=install_signal_handlers,
+            note=note,
+            sleep=sleep,
+            in_order=in_order,
+        ).drain().status
+    elif queue.drained():
+        status = "drained"
+    else:
+        previous = (
+            _suspend.install_signal_handlers()
+            if install_signal_handlers
+            else None
+        )
+        try:
+            status = drain_with_workers(store_root, workers, note=note).status
+        finally:
+            _suspend.restore_signal_handlers(previous)
+    # Final supervisor pass: reap anything the drain left leased.
+    queue.reclaim_stale()
+    return campaign_result(
+        queue, runs, cached=cached, status=status,
+        elapsed_s=time.monotonic() - started, workers=workers,
+    )
 
 
 #: Claim-cycle microbenchmark hook (claim → renew → release), shared

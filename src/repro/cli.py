@@ -17,21 +17,22 @@ Commands
     Sweep-style experiments accept ``--workers N`` to parallelise.
 ``campaign``
     Expand a declarative campaign (grid axes × named experiments)
-    into content-addressed runs and execute them on a process pool
-    with caching, retry and checkpoint/resume; results land in an
-    artifact store plus a JSONL file.  Campaigns are preemption-safe:
-    SIGTERM/SIGINT checkpoints in-flight runs and exits with status 4.
-    With ``--join`` the runs become durable queue items under
-    ``<store>/.queue/`` drained by a cooperating worker fleet
-    (leases, heartbeats, fencing tokens; crashed workers' runs are
-    reclaimed automatically) — additional ``repro queue work``
-    processes may join the same store at any time.
+    into content-addressed runs, enqueue them as durable items under
+    ``<store>/.queue/`` and drain them with caching, retry,
+    poison-run quarantine and checkpoint/resume; results land in an
+    artifact store plus a JSONL file.  ``--workers 1`` drains in this
+    process; more workers drain as a cooperating ``repro queue work``
+    fleet (leases, heartbeats, fencing tokens; crashed workers' runs
+    are reclaimed automatically), and further ``repro queue work``
+    processes may join the same store at any time.  Progress events
+    land in the ``.queue/metrics/`` sidecars ``repro top`` reads.
+    Campaigns are preemption-safe: SIGTERM/SIGINT checkpoints
+    in-flight runs and exits with status 4.
 ``resume``
     Restart a suspended (or otherwise interrupted) campaign from its
     store: re-reads the recorded spec and settings, resumes each
     checkpointed run from its snapshot and executes whatever else is
-    missing.  A campaign recorded with ``--join`` resumes as a queue
-    drain.
+    missing, through the same queue drain.
 ``queue``
     Inspect or drain a store's durable work queue: ``queue status
     <store>`` prints the item/lease census with per-lease heartbeat
@@ -71,7 +72,7 @@ Commands
     ``503`` without abandoning durable work; SIGTERM drains (stop
     accepting → finish in-flight → park the worker fleet's leases →
     exit 4).  The server is a thin front-end over the same stores
-    ``campaign --join`` writes — a server crash loses nothing that
+    ``campaign`` writes — a server crash loses nothing that
     was accepted, and the drained store is byte-identical to a
     CLI-produced one.
 ``replay``
@@ -124,10 +125,12 @@ Commands
     drives the HTTP service the same way, killing it mid-submission
     (``service.submit.write``, ``service.manifest.write``), at the
     idempotency-key commit point (``service.key.write``) and
-    mid-SSE-stream (``service.stream.write``).  ``--workload queue``
-    also covers the observability plane: a kill mid-append at
-    ``queue.metrics.write`` must leave a store that recovers
-    fsck-clean (torn sidecar tail tolerated) and byte-identical.
+    mid-SSE-stream (``service.stream.write``).  The campaign
+    workload's trials drain with a worker fleet against a one-worker
+    baseline, which also covers the observability plane: a kill
+    mid-append at ``queue.metrics.write`` must leave a store that
+    recovers fsck-clean (torn sidecar tail tolerated) and
+    byte-identical.
 ``matrix``
     Print the mini-app pairwise co-run matrix.
 
@@ -150,9 +153,11 @@ This table is the single authority for every ``repro`` command.
     stderr; for ``serve``: a bind failure or stale/live
     ``service.json``)
 3   campaign partial success: some runs completed, others
-    failed or were quarantined (details on stderr); also a
-    ``--join`` drain that finished with terminal ``failed/`` or
-    ``quarantined/`` queue items
+    failed or were quarantined (details on stderr; the queue
+    keeps them as terminal ``failed/`` or ``quarantined/`` items).
+    For ``queue work``: this worker quarantined a run that went
+    over its deadline and did not stop, and exited to abandon it
+    (the fleet supervisor respawns it)
 4   campaign suspended: a graceful shutdown checkpointed the
     in-flight runs; ``repro resume <store>`` continues them.
     For ``queue work``: this worker parked its lease (SIGTERM
@@ -590,22 +595,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     store_dir = Path(args.store) if args.store else Path("campaign_runs") / spec.name
-    if args.join:
-        return _execute_campaign_join(
-            spec,
-            store_dir,
-            _campaign_settings_from_args(args),
-            workers=args.workers,
-            quiet=args.quiet,
-            jsonl=args.jsonl,
-            no_jsonl=args.no_jsonl,
-        )
-    return _execute_campaign(
+    return _drain_campaign(
         spec,
         store_dir,
         _campaign_settings_from_args(args),
+        workers=args.workers,
         quiet=args.quiet,
-        progress_log=args.progress_log,
         jsonl=args.jsonl,
         no_jsonl=args.no_jsonl,
     )
@@ -661,50 +656,74 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         spec = CampaignSpec.from_dict(manifest["spec"])  # type: ignore[arg-type]
     except (ReproError, KeyError, TypeError) as exc:
         return _usage_error("resume", str(exc), kind=type(exc).__name__)
-    if args.workers > 0:
-        settings["workers"] = args.workers
     if args.telemetry:
         settings["telemetry"] = True
+    # Only older manifests record a worker count.
+    workers = args.workers or int(settings.get("workers") or 0)  # type: ignore[arg-type]
     print(f"resuming campaign {spec.name!r} from {store_dir}", file=sys.stderr)
-    if settings.get("queue"):
-        workers = (
-            args.workers if args.workers > 0 else max(1, os.cpu_count() or 1)
-        )
-        return _execute_campaign_join(
-            spec,
-            store_dir,
-            settings,
-            workers=workers,
-            quiet=args.quiet,
-            jsonl="",
-            no_jsonl=args.no_jsonl,
-        )
-    return _execute_campaign(
+    return _drain_campaign(
         spec,
         store_dir,
         settings,
+        workers=workers or max(1, os.cpu_count() or 1),
         quiet=args.quiet,
-        progress_log=args.progress_log,
         jsonl="",
         no_jsonl=args.no_jsonl,
     )
 
 
-def _execute_campaign(
+def _queue_config_from_settings(
+    settings: dict[str, object], store_dir: Path
+) -> dict[str, object]:
+    """Translate campaign manifest settings into the queue's
+    ``config.json`` so bare ``repro queue work <store>`` workers pick
+    up the same retry/quarantine/deadline/guard/sidecar behaviour the
+    campaign was started with."""
+    bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
+    snapshot_dir = Path(
+        str(settings.get("snapshot_dir") or store_dir / "snapshots")
+    )
+    telemetry_dir = (
+        store_dir / "telemetry" if settings.get("telemetry") else None
+    )
+    return {
+        "retries": int(settings.get("retries", 2) or 0),
+        "backoff": float(settings.get("backoff", 0.5)),  # type: ignore[arg-type]
+        "quarantine_after": int(settings.get("quarantine_after", 2) or 0),
+        # The campaign's per-run timeout becomes the queue's deadline
+        # budget: a run that exceeds it is quarantined, not retried.
+        "deadline_s": float(settings.get("timeout", 0.0) or 0.0),
+        "rss_budget_mb": float(settings.get("rss_budget_mb", 0.0) or 0.0),
+        "disk_min_free_mb": float(
+            settings.get("disk_min_free_mb", 0.0) or 0.0
+        ),
+        "bundle_dir": str(bundle_dir),
+        "snapshot_dir": str(snapshot_dir),
+        "snapshot_every": str(settings.get("snapshot_every") or "") or None,
+        "telemetry_dir": str(telemetry_dir) if telemetry_dir else None,
+        # Fleet event sidecars (observability plane); always on — they
+        # live under .queue/, outside the byte-identity surface.
+        "metrics": True,
+    }
+
+
+def _drain_campaign(
     spec,
     store_dir: Path,
     settings: dict[str, object],
     *,
+    workers: int,
     quiet: bool,
-    progress_log: str,
     jsonl: str,
     no_jsonl: bool,
 ) -> int:
-    """Shared campaign executor behind ``campaign`` and ``resume``."""
-    from repro.campaign import CampaignRunner, ResultStore
-    from repro.campaign.progress import JsonlProgressLog, tee
-    from repro.errors import ConfigError
-    from repro.snapshot import ResourceGuards
+    """Campaign executor behind ``campaign`` and ``resume``: enqueue the
+    runs as durable items under ``<store>/.queue/``, then drain them —
+    in this process with one worker, by a ``repro queue work`` fleet
+    with more."""
+    from repro.campaign import ResultStore
+    from repro.campaign.queue import WorkQueue, run_campaign
+    from repro.campaign.spec import run_id_of
 
     try:
         runs = spec.expand()
@@ -712,65 +731,41 @@ def _execute_campaign(
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     store = ResultStore(store_dir)
-    workers = int(settings.get("workers", 1) or 1)  # type: ignore[arg-type]
-    timeout = float(settings.get("timeout", 0.0) or 0.0)  # type: ignore[arg-type]
-    quarantine_after = int(settings.get("quarantine_after", 2) or 0)  # type: ignore[arg-type]
-    bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
-    snapshot_dir = Path(
-        str(settings.get("snapshot_dir") or store_dir / "snapshots")
-    )
-    snapshot_every = str(settings.get("snapshot_every") or "")
-    rss_budget = float(settings.get("rss_budget_mb", 0.0) or 0.0)  # type: ignore[arg-type]
-    disk_min_free = float(settings.get("disk_min_free_mb", 0.0) or 0.0)  # type: ignore[arg-type]
-    telemetry_dir = (
-        store_dir / "telemetry" if settings.get("telemetry") else None
-    )
-    sinks = []
-    if not quiet:
-        sinks.append(lambda event: print(event.render(), file=sys.stderr))
-    if progress_log:
-        sinks.append(JsonlProgressLog(progress_log))
+    # The manifest drops the worker count: the fleet size is a property
+    # of each invocation, not of the campaign, so drains with different
+    # fleet sizes leave byte-identical stores.
+    manifest_settings = {
+        key: value for key, value in settings.items() if key != "workers"
+    }
+    manifest_settings["queue"] = True
+    # The trace id is the content hash of the campaign document — the
+    # exact value the HTTP service uses as its submission id, so a CLI
+    # campaign and a served submission of the same spec land in the
+    # same distributed trace.
+    trace_id = run_id_of({"kind": "campaign", "spec": spec.to_dict()})
     try:
-        guards = None
-        if rss_budget > 0 or disk_min_free > 0:
-            guards = ResourceGuards(
-                rss_budget_mb=rss_budget if rss_budget > 0 else None,
-                disk_min_free_mb=disk_min_free if disk_min_free > 0 else None,
-                watch_path=store_dir,
-            )
-        # The manifest is what `repro resume <store>` reconstructs the
-        # campaign from; refresh it before every execution.
         store.write_manifest({
             "manifest_version": 1,
             "name": spec.name,
             "spec": spec.to_dict(),
-            "settings": settings,
+            "settings": manifest_settings,
         })
-        runner = CampaignRunner(
-            store=store,
-            workers=workers,
-            timeout=timeout if timeout > 0 else None,
-            retries=int(settings.get("retries", 2)),  # type: ignore[arg-type]
-            backoff=float(settings.get("backoff", 0.5)),  # type: ignore[arg-type]
-            progress=tee(*sinks) if sinks else None,
-            quarantine_after=(
-                quarantine_after if quarantine_after > 0 else None
-            ),
-            bundle_dir=bundle_dir,
-            snapshot_dir=snapshot_dir,
-            snapshot_every=snapshot_every or None,
-            telemetry_dir=telemetry_dir,
-            guards=guards,
+        queue = WorkQueue(store_dir)
+        queue.write_config(_queue_config_from_settings(settings, store_dir))
+        queue.arm_events()
+        queue.events.emit(
+            "submit", trace=trace_id, runs=len(runs), source="cli"
+        )
+        outcome = run_campaign(
+            store_dir,
+            runs,
+            workers=max(1, int(workers)),
+            extras={run.run_id: {"trace": trace_id} for run in runs},
+            note=None if quiet else (lambda line: print(line, file=sys.stderr)),
             install_signal_handlers=True,
         )
     except ReproError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        outcome = runner.run(runs)
-    except ConfigError as exc:
-        # Most prominently: the store's advisory lock is held by a
-        # concurrent campaign.
+        # Most prominently: an exclusive holder of the store's lock.
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
@@ -783,15 +778,23 @@ def _execute_campaign(
         return EXIT_INTERRUPTED
     if not no_jsonl:
         jsonl_path = Path(jsonl) if jsonl else store_dir / "results.jsonl"
-        written = store.export_jsonl(jsonl_path, run_ids=[r.run_id for r in runs])
+        written = store.export_jsonl(jsonl_path, run_ids=outcome.order)
         print(f"results: {written} records -> {jsonl_path}", file=sys.stderr)
-    if telemetry_dir is not None and (store_dir / "telemetry.json").is_file():
+    if settings.get("telemetry"):
+        from repro.observability.stats import write_campaign_telemetry
+
+        write_campaign_telemetry(store_dir, store_dir / "telemetry")
         print(
             f"telemetry: {store_dir / 'telemetry.json'} "
             f"(`repro stats {store_dir}` aggregates)",
             file=sys.stderr,
         )
+    return _report_campaign(spec.name, store_dir, len(runs), outcome)
 
+
+def _report_campaign(name: str, store_dir: Path, total: int, outcome) -> int:
+    """Render the post-drain report and map the outcome onto the
+    documented campaign exit codes."""
     grid_rows = []
     experiment_lines = []
     for record in outcome.records():
@@ -819,7 +822,7 @@ def _execute_campaign(
                 f"({record['run_id']}.json)"
             )
     if grid_rows:
-        print(format_table(grid_rows, title=f"campaign: {spec.name}"))
+        print(format_table(grid_rows, title=f"campaign: {name}"))
     for line in experiment_lines:
         print(line)
     counts = (
@@ -830,37 +833,34 @@ def _execute_campaign(
         counts += f", {len(outcome.quarantined)} quarantined"
     if outcome.suspended:
         counts += f", {len(outcome.suspended)} suspended"
-    status = (
-        f"{counts} of {len(runs)} runs "
-        f"in {outcome.elapsed_s:.1f}s (workers={workers}, "
-        f"store={store_dir})"
+    print(
+        f"{counts} of {total} runs in {outcome.elapsed_s:.1f}s "
+        f"(workers={outcome.workers}, store={store_dir})"
     )
-    print(status)
-    if outcome.failures or outcome.quarantined:
-        for failure in outcome.failures:
+    for failure in outcome.failures:
+        print(
+            f"FAILED {failure.run_id} ({failure.label}) after "
+            f"{failure.attempts} attempts: {failure.error}",
+            file=sys.stderr,
+        )
+    if outcome.quarantined:
+        from repro.diagnostics import write_quarantine_manifest
+
+        manifest = write_quarantine_manifest(
+            store_dir / "quarantine.json", name, outcome.quarantined
+        )
+        for poisoned in outcome.quarantined:
+            bundle_note = (
+                f" (bundle: {poisoned.bundle})" if poisoned.bundle else ""
+            )
             print(
-                f"FAILED {failure.run_id} ({failure.label}) after "
-                f"{failure.attempts} attempts: {failure.error}",
+                f"QUARANTINED {poisoned.run_id} ({poisoned.label}) "
+                f"after {poisoned.incidents} incidents: "
+                f"{poisoned.error}{bundle_note}",
                 file=sys.stderr,
             )
-        if outcome.quarantined:
-            from repro.diagnostics import write_quarantine_manifest
-
-            manifest = write_quarantine_manifest(
-                store_dir / "quarantine.json", spec.name, outcome.quarantined
-            )
-            for poisoned in outcome.quarantined:
-                bundle_note = (
-                    f" (bundle: {poisoned.bundle})" if poisoned.bundle else ""
-                )
-                print(
-                    f"QUARANTINED {poisoned.run_id} ({poisoned.label}) "
-                    f"after {poisoned.incidents} incidents: "
-                    f"{poisoned.error}{bundle_note}",
-                    file=sys.stderr,
-                )
-            print(f"quarantine manifest: {manifest}", file=sys.stderr)
-    if outcome.interrupted or outcome.suspended:
+        print(f"quarantine manifest: {manifest}", file=sys.stderr)
+    if outcome.interrupted:
         for parked in outcome.suspended:
             snap_note = (
                 f" (snapshot: {parked.snapshot})" if parked.snapshot else ""
@@ -869,233 +869,25 @@ def _execute_campaign(
                 f"SUSPENDED {parked.run_id} ({parked.label}){snap_note}",
                 file=sys.stderr,
             )
-        remaining = len(runs) - len(
-            store.completed_ids() & {r.run_id for r in runs}
-        )
         print(
-            f"campaign suspended with {remaining} runs outstanding; "
-            f"`repro resume {store_dir}` continues it",
-            file=sys.stderr,
-        )
-        return EXIT_SUSPENDED
-    if outcome.failures or outcome.quarantined:
-        # Partial success (some results, some casualties) is
-        # distinguishable from total failure for calling scripts.
-        if outcome.completed or outcome.cached:
-            return EXIT_PARTIAL
-        return 1
-    return 0
-
-
-def _queue_config_from_settings(
-    settings: dict[str, object], store_dir: Path
-) -> dict[str, object]:
-    """Translate campaign manifest settings into the queue's
-    ``config.json`` so bare ``repro queue work <store>`` workers pick
-    up the same retry/deadline/guard/sidecar behaviour the join parent
-    was asked for."""
-    bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
-    snapshot_dir = Path(
-        str(settings.get("snapshot_dir") or store_dir / "snapshots")
-    )
-    telemetry_dir = (
-        store_dir / "telemetry" if settings.get("telemetry") else None
-    )
-    return {
-        "retries": int(settings.get("retries", 2) or 0),
-        "backoff": float(settings.get("backoff", 0.5) or 0.5),
-        # The campaign's per-run timeout becomes the queue's deadline
-        # budget: a run that exceeds it is quarantined, not retried.
-        "deadline_s": float(settings.get("timeout", 0.0) or 0.0),
-        "rss_budget_mb": float(settings.get("rss_budget_mb", 0.0) or 0.0),
-        "disk_min_free_mb": float(
-            settings.get("disk_min_free_mb", 0.0) or 0.0
-        ),
-        "bundle_dir": str(bundle_dir),
-        "snapshot_dir": str(snapshot_dir),
-        "snapshot_every": str(settings.get("snapshot_every") or "") or None,
-        "telemetry_dir": str(telemetry_dir) if telemetry_dir else None,
-        # Fleet event sidecars (observability plane); always on — they
-        # live under .queue/, outside the byte-identity surface.
-        "metrics": True,
-    }
-
-
-def _execute_campaign_join(
-    spec,
-    store_dir: Path,
-    settings: dict[str, object],
-    *,
-    workers: int,
-    quiet: bool,
-    jsonl: str,
-    no_jsonl: bool,
-) -> int:
-    """Queue-backed campaign executor behind ``campaign --join`` and a
-    queue-recorded ``resume``: enqueue the runs as durable items, then
-    supervise a cooperative worker fleet draining them."""
-    from repro.campaign import ResultStore
-    from repro.campaign.queue import WorkQueue, drain_with_workers
-    from repro.snapshot import suspend as _suspend
-
-    try:
-        runs = spec.expand()
-    except ReproError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    store = ResultStore(store_dir)
-    workers = max(1, int(workers))
-    # The manifest drops the worker count: the fleet size is a property
-    # of each invocation, not of the campaign, so joins with different
-    # fleet sizes leave byte-identical stores.
-    manifest_settings = {
-        key: value for key, value in settings.items() if key != "workers"
-    }
-    manifest_settings["queue"] = True
-    note = (
-        None if quiet else (lambda line: print(line, file=sys.stderr))
-    )
-    try:
-        store.write_manifest({
-            "manifest_version": 1,
-            "name": spec.name,
-            "spec": spec.to_dict(),
-            "settings": manifest_settings,
-        })
-        queue = WorkQueue(store_dir)
-        queue.write_config(_queue_config_from_settings(settings, store_dir))
-        queue.arm_events()
-        # The trace id is the content hash of the campaign document —
-        # the exact value the HTTP service uses as its submission id,
-        # so a CLI join and a served submission of the same spec land
-        # in the same distributed trace.
-        from repro.campaign.spec import run_id_of
-
-        trace_id = run_id_of({"kind": "campaign", "spec": spec.to_dict()})
-        pending = queue.enqueue(
-            runs,
-            extras={run.run_id: {"trace": trace_id} for run in runs},
-        )
-        queue.events.emit(
-            "submit", trace=trace_id, runs=len(runs), source="cli"
-        )
-    except ReproError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return 2
-    if note:
-        note(
-            f"queue: {pending} of {len(runs)} runs pending in "
-            f"{store_dir / '.queue'}"
-        )
-    previous = _suspend.install_signal_handlers()
-    try:
-        outcome = drain_with_workers(store_dir, workers, note=note)
-    except KeyboardInterrupt:
-        done = len(store.completed_ids() & {r.run_id for r in runs})
-        print(
-            f"\ninterrupted: {done} of {len(runs)} runs stored in "
-            f"{store_dir}; `repro resume {store_dir}` continues",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    finally:
-        if previous is not None:
-            _suspend.restore_signal_handlers(previous)
-    # Final supervisor pass: reap anything the fleet left leased.
-    queue.reclaim_stale()
-    return _report_join(
-        spec.name, store, queue, runs, outcome,
-        jsonl=jsonl, no_jsonl=no_jsonl,
-    )
-
-
-def _report_join(
-    name: str, store, queue, runs, outcome, *, jsonl: str, no_jsonl: bool
-) -> int:
-    """Render the post-drain report and map the queue's terminal state
-    onto the documented campaign exit codes."""
-    run_ids = [r.run_id for r in runs]
-    done = store.completed_ids() & set(run_ids)
-    if not no_jsonl:
-        jsonl_path = Path(jsonl) if jsonl else store.root / "results.jsonl"
-        written = store.export_jsonl(jsonl_path, run_ids=run_ids)
-        print(f"results: {written} records -> {jsonl_path}", file=sys.stderr)
-    grid_rows = []
-    experiment_lines = []
-    for run_id in run_ids:
-        if not store.has(run_id):
-            continue
-        record = store.load(run_id)
-        payload = record["result"]
-        params = record["params"]
-        if payload["kind"] == "simulate":
-            workload = params.get("workload", {})
-            config = params.get("config", {})
-            summary = payload["summary"]
-            grid_rows.append({
-                "run": record["run_id"][:8],
-                "strategy": payload["strategy"],
-                "nodes": payload["num_nodes"],
-                "seed": workload.get("seed", ""),
-                "load": workload.get("offered_load", ""),
-                "theta": config.get("share_threshold", ""),
-                "makespan_h": summary["makespan_h"],
-                "comp_eff": summary["comp_eff"],
-                "mean_wait_h": summary["mean_wait_h"],
-                "shared_nodes": summary["shared_nodes"],
-            })
-        elif payload["kind"] == "experiment":
-            experiment_lines.append(
-                f"{payload['experiment']}: {len(payload['rows'])} rows "
-                f"({record['run_id']}.json)"
-            )
-    if grid_rows:
-        print(format_table(grid_rows, title=f"campaign: {name}"))
-    for line in experiment_lines:
-        print(line)
-    failed = queue.terminal_ids("failed")
-    quarantined = queue.terminal_ids("quarantined")
-    counts = f"{len(done)} stored, {len(failed)} failed"
-    if quarantined:
-        counts += f", {len(quarantined)} quarantined"
-    print(
-        f"{counts} of {len(runs)} runs (queue drain, "
-        f"workers={outcome.workers}, respawns={outcome.respawns}, "
-        f"store={store.root})"
-    )
-    for run_id in failed:
-        doc = queue.read_terminal("failed", run_id)
-        print(
-            f"FAILED {run_id} ({doc.get('label', '')}) after "
-            f"{doc.get('deliveries', '?')} deliveries: "
-            f"{doc.get('error', '')}",
-            file=sys.stderr,
-        )
-    for run_id in quarantined:
-        doc = queue.read_terminal("quarantined", run_id)
-        print(
-            f"QUARANTINED {run_id} ({doc.get('label', '')}): "
-            f"{doc.get('reason', '')}",
-            file=sys.stderr,
-        )
-    if outcome.status == "suspended":
-        remaining = len(runs) - len(done)
-        print(
-            f"campaign suspended with {remaining} runs outstanding; "
-            f"`repro resume {store.root}` continues it",
+            f"campaign suspended with {total - len(outcome.results)} runs "
+            f"outstanding; `repro resume {store_dir}` continues it",
             file=sys.stderr,
         )
         return EXIT_SUSPENDED
     if outcome.status == "stalled":
         print(
             f"queue drain stalled (respawn budget exhausted); "
-            f"`repro queue status {store.root}` for the census",
+            f"`repro queue status {store_dir}` for the census",
             file=sys.stderr,
         )
         return 1
-    if failed or quarantined:
-        return EXIT_PARTIAL if done else 1
+    if outcome.failures or outcome.quarantined:
+        # Partial success (some results, some casualties) is
+        # distinguishable from total failure for calling scripts.
+        return EXIT_PARTIAL if outcome.results else 1
     return 0
+
 
 
 def _render_queue_status(status: dict, *, as_json: bool, watching: bool) -> None:
@@ -1138,7 +930,7 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
     if not has_queue(store_dir):
         print(
             f"queue error: {store_dir} has no work queue "
-            f"(`repro campaign --join` creates one)",
+            f"(`repro campaign` creates one)",
             file=sys.stderr,
         )
         return 2
@@ -1168,7 +960,7 @@ def _cmd_queue_work(args: argparse.Namespace) -> int:
     if not has_queue(store_dir):
         print(
             f"queue error: {store_dir} has no work queue "
-            f"(`repro campaign --join` creates one)",
+            f"(`repro campaign` creates one)",
             file=sys.stderr,
         )
         return 2
@@ -1177,7 +969,8 @@ def _cmd_queue_work(args: argparse.Namespace) -> int:
     )
     try:
         worker = QueueWorker(
-            store_dir, install_signal_handlers=True, note=note
+            store_dir, install_signal_handlers=True, note=note,
+            hard_stop=True,
         )
         outcome = worker.drain()
     except ConfigError as exc:
@@ -1200,7 +993,7 @@ def _require_queue(store_dir: Path) -> bool:
         return True
     print(
         f"queue error: {store_dir} has no work queue "
-        f"(`repro campaign --join` creates one)",
+        f"(`repro campaign` creates one)",
         file=sys.stderr,
     )
     return False
@@ -1567,28 +1360,15 @@ def _replay_trace_fanout(args: argparse.Namespace) -> int:
 def _cmd_replay_trace(args: argparse.Namespace) -> int:
     from repro.archive import replay_archive
     from repro.errors import ConfigError
-    from repro.snapshot import ResourceGuards
 
     if args.strategies:
         return _replay_trace_fanout(args)
     store_dir = Path(args.store)
-    guards = None
-    if args.rss_budget_mb > 0:
-        store_dir.mkdir(parents=True, exist_ok=True)
-        guards = ResourceGuards(
-            rss_budget_mb=args.rss_budget_mb,
-            watch_path=store_dir,
-        )
     config: dict[str, object] = {}
     if args.backfill_interval > 0:
         config["backfill_interval"] = float(args.backfill_interval)
     if args.threshold != 1.1:
         config["share_threshold"] = float(args.threshold)
-    progress = (
-        None
-        if args.quiet
-        else (lambda event: print(event.render(), file=sys.stderr))
-    )
     try:
         outcome = replay_archive(
             args.archive,
@@ -1596,8 +1376,10 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             num_nodes=args.nodes,
             config=config or None,
-            guards=guards,
-            progress=progress,
+            rss_budget_mb=args.rss_budget_mb,
+            note=None if args.quiet else (
+                lambda line: print(line, file=sys.stderr)
+            ),
             telemetry_dir=(store_dir / "telemetry" if args.telemetry else None),
             install_signal_handlers=True,
         )
@@ -1635,7 +1417,7 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
             f"FAILED {failure.run_id} ({failure.label}): {failure.error}",
             file=sys.stderr,
         )
-    if campaign.interrupted or campaign.suspended:
+    if campaign.interrupted:
         print(
             f"replay suspended; re-run the same command to continue "
             f"(completed windows are cached in {store_dir})",
@@ -1643,7 +1425,7 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
         )
         return EXIT_SUSPENDED
     if campaign.failures:
-        return EXIT_PARTIAL if (campaign.completed or campaign.cached) else 1
+        return EXIT_PARTIAL if campaign.results else 1
     return 0
 
 
@@ -1757,7 +1539,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.workload == "both":
         workloads = ["campaign", "replay"]
     elif args.workload == "all":
-        workloads = ["campaign", "replay", "queue", "serve"]
+        workloads = ["campaign", "replay", "serve"]
     else:
         workloads = [args.workload]
     progress = None if args.quiet else (
@@ -1875,11 +1657,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="named experiment refs (e1..e24, or 'all')")
     p_camp.add_argument("--workers", type=int,
                         default=max(1, os.cpu_count() or 1),
-                        help="worker processes (1 = serial fallback)")
+                        help="queue workers (1 = drain in this process; "
+                             "more = a `repro queue work` fleet)")
     p_camp.add_argument("--store", default="",
                         help="artifact store dir (default campaign_runs/<name>)")
     p_camp.add_argument("--timeout", type=float, default=0.0,
-                        help="per-run timeout seconds (0 = none)")
+                        help="per-run deadline seconds; a run over it "
+                             "is quarantined (0 = none)")
     p_camp.add_argument("--retries", type=int, default=2,
                         help="extra attempts per failed run")
     p_camp.add_argument("--backoff", type=float, default=0.5,
@@ -1888,13 +1672,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="results JSONL path (default <store>/results.jsonl)")
     p_camp.add_argument("--no-jsonl", action="store_true",
                         help="skip writing the results JSONL file")
-    p_camp.add_argument("--progress-log", default="",
-                        help="append progress events as JSONL to this file")
     p_camp.add_argument("--quiet", action="store_true",
                         help="suppress per-run progress lines")
     p_camp.add_argument("--quarantine-after", type=int, default=2,
-                        help="isolate a run after N worker crashes / "
-                             "watchdog trips (0 = never quarantine)")
+                        help="quarantine a run after N watchdog trips "
+                             "(0 = never quarantine)")
     p_camp.add_argument("--bundle-dir", default="",
                         help="replay bundle directory "
                              "(default <store>/bundles)")
@@ -1909,19 +1691,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suspend a worker's run when its RSS "
                              "exceeds this budget (0 = off)")
     p_camp.add_argument("--disk-min-free-mb", type=float, default=0.0,
-                        help="pause dispatch while free space under "
+                        help="pause claiming while free space under "
                              "the store is below this (0 = off)")
     p_camp.add_argument("--telemetry", action="store_true",
                         help="write per-run telemetry sidecars under "
                              "<store>/telemetry and merge them into "
                              "<store>/telemetry.json (results stay "
                              "byte-identical)")
-    p_camp.add_argument("--join", action="store_true",
-                        help="drain through the durable work queue under "
-                             "<store>/.queue: --workers cooperating "
-                             "processes claim per-run leases; extra "
-                             "`repro queue work <store>` workers may "
-                             "join at any time")
     p_camp.set_defaults(func=_cmd_campaign)
 
     p_queue = sub.add_parser(
@@ -1932,7 +1708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qstat = queue_sub.add_parser(
         "status", help="print the queue's item/lease census"
     )
-    p_qstat.add_argument("store", help="a --join campaign's store directory")
+    p_qstat.add_argument("store", help="a campaign's store directory")
     p_qstat.add_argument("--json", action="store_true",
                          help="machine-readable census")
     p_qstat.add_argument("--watch", type=float, default=0.0,
@@ -1944,7 +1720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qwork = queue_sub.add_parser(
         "work", help="run one cooperative drain worker on a store"
     )
-    p_qwork.add_argument("store", help="a --join campaign's store directory")
+    p_qwork.add_argument("store", help="a campaign's store directory")
     p_qwork.add_argument("--quiet", action="store_true",
                          help="suppress per-run progress lines")
     p_qwork.set_defaults(func=_cmd_queue_work)
@@ -1954,7 +1730,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(the offline twin of the server's GET /metrics)",
     )
     p_qmetrics.add_argument("store",
-                            help="a --join campaign's store directory")
+                            help="a campaign's store directory")
     p_qmetrics.add_argument("--json", action="store_true",
                             help="raw aggregate document instead of "
                                  "Prometheus text")
@@ -1965,7 +1741,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live fleet dashboard over one store (workers, leases, "
              "throughput, drain ETA)",
     )
-    p_top.add_argument("store", help="a --join campaign's store directory")
+    p_top.add_argument("store", help="a campaign's store directory")
     p_top.add_argument("--interval", type=float, default=1.0,
                        metavar="SECONDS",
                        help="refresh period (default 1s); exits when "
@@ -2036,8 +1812,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("store", help="the campaign's --store directory")
     p_res.add_argument("--workers", type=int, default=0,
                        help="override the recorded worker count (0 = keep)")
-    p_res.add_argument("--progress-log", default="",
-                       help="append progress events as JSONL to this file")
     p_res.add_argument("--quiet", action="store_true",
                        help="suppress per-run progress lines")
     p_res.add_argument("--no-jsonl", action="store_true",
@@ -2192,12 +1966,11 @@ def build_parser() -> argparse.ArgumentParser:
              "recover, fsck, compare to baseline",
     )
     p_chaos.add_argument("--workload",
-                         choices=("campaign", "replay", "queue", "serve",
+                         choices=("campaign", "replay", "serve",
                                   "both", "all"),
                          default="both",
                          help="which pipeline(s) to torture: 'both' = "
-                              "campaign+replay (default), 'queue' = the "
-                              "two-worker cooperative drain, 'serve' = "
+                              "campaign+replay (default), 'serve' = "
                               "the HTTP service self-drive, 'all' = "
                               "everything")
     p_chaos.add_argument("--dir", default="",

@@ -19,10 +19,10 @@ Classification runs only on the failure path with the trace armed, so
 the decision logic itself is untouched either way.
 
 These helpers run once per pending job per scheduler pass, so the
-rejection sites guard against streak-suppressed repeats *inline*
-(consulting ``DecisionTrace.streaks`` directly) rather than paying a
-method call plus keyword-argument construction twenty-odd thousand
-times per run just to have ``reject()`` discard the repeat.
+rejection sites ask ``DecisionTrace.suppress_repeat`` before
+``reject()`` rather than paying keyword-argument construction
+twenty-odd thousand times per run just to have ``reject()`` discard
+the repeat.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ def place_exclusive(
     if need > view.idle_count:
         if decisions is not None:
             jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("exclusive") == "insufficient_idle":
-                decisions.suppressed += 1
-            else:
+            if not decisions.suppress_repeat(jid, "exclusive", "insufficient_idle"):
                 decisions.reject(
                     view.ctx.now, "exclusive", jid, "insufficient_idle",
                     need=need, idle=view.idle_count,
@@ -55,10 +52,7 @@ def place_exclusive(
     if idle_budget is not None and need > idle_budget:
         if decisions is not None:
             jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("exclusive") == "reservation_collision":
-                decisions.suppressed += 1
-            else:
+            if not decisions.suppress_repeat(jid, "exclusive", "reservation_collision"):
                 decisions.reject(
                     view.ctx.now, "exclusive", jid, "reservation_collision",
                     need=need, budget=idle_budget,
@@ -131,10 +125,7 @@ def place_join(
     if not job.spec.shareable:
         if decisions is not None:
             jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("join") == "not_shareable":
-                decisions.suppressed += 1
-            else:
+            if not decisions.suppress_repeat(jid, "join", "not_shareable"):
                 decisions.reject(ctx.now, "join", jid, "not_shareable")
         return None
     profile = ctx.profile_of(job)
@@ -154,10 +145,7 @@ def place_join(
             else:
                 code = "no_exact_cover"
             jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("join") == code:
-                decisions.suppressed += 1
-            else:
+            if not decisions.suppress_repeat(jid, "join", code):
                 decisions.reject(
                     ctx.now, "join", jid, code,
                     need=job.num_nodes, groups=len(groups),
@@ -191,19 +179,13 @@ def place_open_shared(
     if not job.spec.shareable:
         if decisions is not None:
             jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("open_shared") == "not_shareable":
-                decisions.suppressed += 1
-            else:
+            if not decisions.suppress_repeat(jid, "open_shared", "not_shareable"):
                 decisions.reject(ctx.now, "open_shared", jid, "not_shareable")
         return None
     if not ctx.allow_open_shared:
         if decisions is not None:
             jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("open_shared") == "open_shared_disabled":
-                decisions.suppressed += 1
-            else:
+            if not decisions.suppress_repeat(jid, "open_shared", "open_shared_disabled"):
                 decisions.reject(
                     ctx.now, "open_shared", jid, "open_shared_disabled"
                 )
@@ -212,10 +194,7 @@ def place_open_shared(
     if need > view.idle_count:
         if decisions is not None:
             jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("open_shared") == "insufficient_idle":
-                decisions.suppressed += 1
-            else:
+            if not decisions.suppress_repeat(jid, "open_shared", "insufficient_idle"):
                 decisions.reject(
                     ctx.now, "open_shared", jid, "insufficient_idle",
                     need=need, idle=view.idle_count,
@@ -224,10 +203,7 @@ def place_open_shared(
     if idle_budget is not None and need > idle_budget:
         if decisions is not None:
             jid = job.spec.job_id
-            streak = decisions.streaks.get(jid)
-            if streak is not None and streak.get("open_shared") == "reservation_collision":
-                decisions.suppressed += 1
-            else:
+            if not decisions.suppress_repeat(jid, "open_shared", "reservation_collision"):
                 decisions.reject(
                     ctx.now, "open_shared", jid, "reservation_collision",
                     need=need, budget=idle_budget,

@@ -15,7 +15,7 @@ deterministic reproducer and every hang into a structured error:
 * :class:`AnomalyReport` — quarantine ledger for lenient trace
   ingestion;
 * :class:`QuarantinedRun` — poison-run isolation records for the
-  campaign runner.
+  campaign queue.
 
 Everything is inert on the happy path: failure-free outputs are
 byte-identical with the layer enabled or disabled.

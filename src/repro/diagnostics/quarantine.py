@@ -1,11 +1,16 @@
 """Poison-run quarantine records and the on-disk manifest.
 
-A *poison run* is one that repeatedly kills its campaign worker
-(process crash) or trips a watchdog — retrying it only destroys more
-pool state and delays blameless runs.  The campaign runner isolates
-such a run after K incidents; this module defines the record it keeps
-and the manifest written next to the campaign's artifact store so the
-poison runs (and their replay bundles) are auditable afterwards.
+A *poison run* is one whose watchdog trips on every attempt —
+retrying it only burns worker time and delays blameless runs.  The
+campaign queue's worker (:class:`~repro.campaign.queue.QueueWorker`)
+quarantines such a run after ``quarantine_after`` trips, keeping a
+terminal ``.queue/quarantined/<run_id>.json`` item with the replay
+bundle the run's entry captured.  Runs the queue quarantines for a
+blown deadline or a spent delivery budget (workers that kept dying
+under them) land there too.  This module defines the record the
+campaign report builds from those items and the manifest written as
+``<store>/quarantine.json``, so the poison runs (and their replay
+bundles) are auditable afterwards.
 """
 
 from __future__ import annotations
@@ -23,19 +28,20 @@ QUARANTINE_FORMAT = "repro-quarantine/v1"
 
 @dataclass(frozen=True)
 class QuarantinedRun:
-    """One run isolated by the campaign runner."""
+    """One run isolated by the campaign queue."""
 
     run_id: str
     label: str
-    #: Worker crashes / watchdog trips observed before isolation.
+    #: Watchdog trips (or deliveries, for a spent delivery budget)
+    #: observed before isolation.
     incidents: int
     #: The last observed error, as a string.
     error: str
     params: dict[str, object] = field(default_factory=dict)
     #: Path of the replay bundle captured in the worker, if any.
     bundle: str | None = None
-    #: Wall-clock seconds burned on this run before isolation (first
-    #: dispatch to quarantine, across all attempts).
+    #: Wall-clock seconds burned on this run before isolation (claim
+    #: to quarantine, across the claim's attempts).
     elapsed_s: float = 0.0
     #: Re-dispatches that resumed from a snapshot before isolation.
     resumes: int = 0

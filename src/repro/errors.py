@@ -102,8 +102,8 @@ class SuspendRequested(BaseException):
 
     ``snapshot_path`` is filled in by the worker entry once the
     pre-suspension state snapshot has been written; attributes survive
-    pickling across ``ProcessPoolExecutor`` because
-    ``BaseException.__reduce__`` preserves ``__dict__``.
+    pickling because ``BaseException.__reduce__`` preserves
+    ``__dict__``.
     """
 
     def __init__(

@@ -14,18 +14,18 @@ then demands two things of the survivor:
 
 The sweep walks the whole failpoint catalog, so adding a new durable
 write without registering (and surviving) its failpoint shows up as a
-hole in the report.  Four workloads cover the durable-state
-families: a multi-worker **campaign** (result records, store
-manifest, results.jsonl), a windowed synthetic **replay**
-(archive ingestion, boundary snapshots, columnar appends +
-idempotence marks, stitched summary), a two-worker **queue**
-drain (items, leases, fencing tokens) whose baseline is the
-single-worker join of the same campaign — byte-identity there
-proves a hard-killed worker's reclaimed work leaves no trace —
-and a **serve** drive (``repro serve --drive``: HTTP submission,
-idempotency-key replay, SSE streaming, supervised drain) whose
-baseline is a CLI-only join of the same spec, proving the HTTP
-front-end changes nothing about the durable store.
+hole in the report.  Three workloads cover the durable-state
+families: a **campaign** drained by a worker fleet (result records,
+store manifest, results.jsonl, queue items, leases, fencing tokens,
+event sidecars) whose baseline is the one-worker in-process drain of
+the same campaign — byte-identity there proves a hard-killed
+worker's reclaimed work leaves no trace — a windowed synthetic
+**replay** (archive ingestion, boundary snapshots, columnar appends +
+idempotence marks, stitched summary), and a **serve** drive
+(``repro serve --drive``: HTTP submission, idempotency-key replay,
+SSE streaming, supervised drain) whose baseline is a CLI campaign of
+the same spec, proving the HTTP front-end changes nothing about the
+durable store.
 
 Cross-process once-only firing (the ``REPRO_FAILPOINTS_STAMP``
 protocol) keeps a killed worker's replacement from re-tripping the
@@ -116,30 +116,46 @@ def store_fingerprint(root: str | Path) -> dict[str, str]:
 # Workload pipelines
 # ----------------------------------------------------------------------
 class _CampaignPipeline:
-    """Small multi-worker campaign: 4 runs, 40 jobs, 32 nodes."""
+    """Small campaign: 4 runs, 40 jobs, 32 nodes.
+
+    The trial commands drain with ``workers`` processes, at least two
+    so the fleet reclaim path always runs.  A hard kill thus lands
+    inside one worker of a live fleet (or inside the parent's
+    enqueue) while the survivors — plus the parent's reclaim/respawn
+    supervision — must finish the store.  The
+    baseline is the one-worker in-process drain of the same campaign:
+    byte-identity against it proves leases, fencing and reclamation
+    leave no trace in the durable artifacts.
+    """
 
     name = "campaign"
 
     def __init__(self, work: Path, workers: int, python: str) -> None:
         self.work = work
-        self.workers = workers
+        self.workers = max(2, workers)
         self.python = python
 
     def prepare(self) -> None:
         pass
 
-    def commands(self, root: Path) -> list[list[str]]:
-        return [[
+    def _command(self, root: Path, workers: int) -> list[str]:
+        return [
             self.python, "-m", "repro.cli", "campaign",
             "--name", "chaos",
             "--jobs", "40",
             "--sizes", "32",
             "--seeds", "7", "11",
             "--strategies", "easy_backfill", "shared_backfill",
-            "--workers", str(self.workers),
+            "--workers", str(workers),
             "--store", str(root / "store"),
             "--quiet",
-        ]]
+        ]
+
+    def baseline_commands(self, root: Path) -> list[list[str]]:
+        return [self._command(root, 1)]
+
+    def commands(self, root: Path) -> list[list[str]]:
+        return [self._command(root, self.workers)]
 
     def fingerprint(self, root: Path) -> dict[str, str]:
         return store_fingerprint(root / "store")
@@ -201,54 +217,6 @@ class _ReplayPipeline:
         return [root / "archive", root / "replay"]
 
 
-class _QueuePipeline:
-    """Two-worker cooperative queue drain of the campaign workload.
-
-    The trial commands drain through ``campaign --join`` with two
-    workers, so a hard kill lands inside one worker of a live fleet
-    (or inside the join parent's enqueue) while the survivor — plus
-    the parent's reclaim/respawn supervision — must finish the store.
-    The baseline is the *single*-worker join of the same campaign:
-    byte-identity against it proves leases, fencing and reclamation
-    leave no trace in the durable artifacts.
-    """
-
-    name = "queue"
-
-    def __init__(self, work: Path, workers: int, python: str) -> None:
-        self.work = work
-        self.workers = max(2, workers)
-        self.python = python
-
-    def prepare(self) -> None:
-        pass
-
-    def _join_command(self, root: Path, workers: int) -> list[str]:
-        return [
-            self.python, "-m", "repro.cli", "campaign", "--join",
-            "--name", "chaos-queue",
-            "--jobs", "40",
-            "--sizes", "32",
-            "--seeds", "7", "11",
-            "--strategies", "easy_backfill", "shared_backfill",
-            "--workers", str(workers),
-            "--store", str(root / "store"),
-            "--quiet",
-        ]
-
-    def baseline_commands(self, root: Path) -> list[list[str]]:
-        return [self._join_command(root, 1)]
-
-    def commands(self, root: Path) -> list[list[str]]:
-        return [self._join_command(root, self.workers)]
-
-    def fingerprint(self, root: Path) -> dict[str, str]:
-        return store_fingerprint(root / "store")
-
-    def fsck_roots(self, root: Path) -> list[Path]:
-        return [root / "store"]
-
-
 class _ServePipeline:
     """HTTP-served campaign: ``repro serve --drive`` submits a spec to
     itself over the wire (twice, under one idempotency key — the
@@ -259,9 +227,9 @@ class _ServePipeline:
     ``service.json``, an SSE frame) or inside its drain worker (any
     store/queue failpoint) — either way the harness restarts the
     pipeline disarmed and the drained store must be fsck-clean and
-    byte-identical to the baseline: a plain CLI ``campaign --join``
-    of the *same spec file*, proving the HTTP path adds nothing to
-    (and loses nothing from) the durable artifacts.
+    byte-identical to the baseline: a plain CLI ``campaign`` of the
+    *same spec file*, proving the HTTP path adds nothing to (and
+    loses nothing from) the durable artifacts.
     """
 
     name = "serve"
@@ -283,7 +251,7 @@ class _ServePipeline:
 
     def baseline_commands(self, root: Path) -> list[list[str]]:
         return [[
-            self.python, "-m", "repro.cli", "campaign", "--join",
+            self.python, "-m", "repro.cli", "campaign",
             "--spec", str(self.spec_file),
             "--workers", "1",
             "--store", str(root / "stores" / "baseline"),
@@ -323,7 +291,6 @@ class _ServePipeline:
 _PIPELINES = {
     "campaign": _CampaignPipeline,
     "replay": _ReplayPipeline,
-    "queue": _QueuePipeline,
     "serve": _ServePipeline,
 }
 
@@ -532,7 +499,7 @@ def run_chaos(
 
 def _run_pipeline_clean(pipeline, root: Path) -> None:
     """Fault-free run; pipelines may define a distinct baseline shape
-    (the queue pipeline's baseline is a single-worker drain)."""
+    (the campaign pipeline's baseline is a one-worker drain)."""
     commands = getattr(pipeline, "baseline_commands", pipeline.commands)
     root.mkdir(parents=True, exist_ok=True)
     for stage, cmd in enumerate(commands(root)):

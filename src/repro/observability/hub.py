@@ -105,7 +105,7 @@ class TelemetryHub:
 
 def merge_hub_dicts(payloads: Iterable[Mapping[str, object]]) -> dict[str, object]:
     """Merge serialised hub exports (e.g. per-worker sidecar files)
-    into one combined export — the runner-side campaign merge."""
+    into one combined export — the campaign-side merge."""
     combined = TelemetryHub()
     for payload in payloads:
         combined.merge(TelemetryHub.from_dict(payload))

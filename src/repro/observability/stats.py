@@ -79,7 +79,7 @@ def read_telemetry_sidecars(
 def merge_campaign_telemetry(
     store_dir: str | Path, telemetry_dir: str | Path | None = None
 ) -> dict[str, object]:
-    """The runner-side merge: fold every per-worker sidecar into one
+    """The campaign-side merge: fold every per-worker sidecar into one
     campaign-level document (written as ``<store>/telemetry.json``)."""
     sidecars = read_telemetry_sidecars(store_dir, telemetry_dir)
     execs = [s.get("exec", {}) for s in sidecars.values()]

@@ -176,6 +176,20 @@ class DecisionTrace:
     # ------------------------------------------------------------------
     # Typed helpers — the manager and placement layer call these
     # ------------------------------------------------------------------
+    def suppress_repeat(self, job_id: int, stage: str, code: str) -> bool:
+        """Would rejecting *job_id* at *stage* with *code* repeat its
+        previous probe?  If so, count it as suppressed and return True.
+
+        The hot placement call sites ask this before :meth:`reject`, so
+        a suppressed repeat costs two dict probes and no keyword
+        arguments.
+        """
+        stages = self.streaks.get(job_id)
+        if stages is not None and stages.get(stage) == code:
+            self.suppressed += 1
+            return True
+        return False
+
     def reject(
         self, t: float, stage: str, job_id: int, code: str, **fields: object
     ) -> dict | None:
@@ -188,8 +202,8 @@ class DecisionTrace:
         repetition.  On a contended queue the suppressed path runs
         tens of thousands of times per run, so it stays minimal: two
         dict probes and an increment — and the hottest call sites
-        (``core/placement.py``) consult ``streaks`` inline to skip
-        even the call when the repeat would be suppressed.
+        (``core/placement.py``) ask :meth:`suppress_repeat` first to
+        skip the keyword arguments when the repeat would be suppressed.
         """
         stages = self.streaks.get(job_id)
         if stages is not None and stages.get(stage) == code:

@@ -3,7 +3,7 @@
 Design rules (DESIGN.md §11):
 
 * **Accepting is enqueueing.**  ``POST /v1/campaigns`` writes the same
-  durable artifacts ``repro campaign --join`` writes; the HTTP layer
+  durable artifacts ``repro campaign`` writes; the HTTP layer
   holds no state a crash could lose.  Workers — the server's own
   supervised fleet or external ``repro queue work`` processes — do
   the execution.

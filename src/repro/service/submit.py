@@ -7,7 +7,7 @@ same spec twice (a client retry, a duplicate client, a server restart
 replaying a request) converges on the same per-submission store under
 ``<root>/stores/<submission_id>/`` instead of forking state.
 
-Accepting a submission writes exactly what ``repro campaign --join``
+Accepting a submission writes exactly what ``repro campaign``
 writes: the hidden ``.campaign.json`` manifest (with the CLI's
 default settings, so the drained store is *byte-identical* to a
 CLI-produced one — the chaos harness holds the service to this), the
@@ -55,7 +55,7 @@ class IdempotencyConflict(ConfigError):
 
 
 def default_submission_settings() -> dict[str, object]:
-    """The manifest settings a default ``repro campaign --join`` records.
+    """The manifest settings a default ``repro campaign`` records.
 
     Byte-identity with CLI-produced stores depends on this staying in
     lockstep with the ``campaign`` parser defaults (the service test
@@ -411,7 +411,7 @@ class SubmissionRegistry:
 
     def results_path(self, sub_id: str) -> Path | None:
         """Materialise ``results.jsonl`` for a submission (idempotent,
-        campaign run order — the bytes ``campaign --join`` leaves)."""
+        campaign run order — the bytes ``repro campaign`` leaves)."""
         record = self.get(sub_id)
         if record is None:
             return None

@@ -1,22 +1,21 @@
-"""Picklable per-run entry point for campaign workers.
+"""Per-run entry point for campaign queue workers.
 
 :func:`execute_run` turns one campaign ``params`` dict (see
 :mod:`repro.campaign.spec`) into a plain JSON-serialisable result
-dict.  It is a module-level function so :class:`concurrent.futures.
-ProcessPoolExecutor` can ship it to worker processes, and it is the
-*single* execution path for both the serial and parallel campaign
-modes — which is what makes their results bit-identical.
+dict.  It is the *single* execution path of every queue worker, in
+process or in a ``repro queue work`` fleet — which is what makes
+their results bit-identical.
 
 The returned payload is deterministic for fixed params: anything
 wall-clock-dependent is stripped before returning, so result files
 can be compared across serial/parallel executions and across hosts.
 
-Preemption support (armed only when the campaign runner passes a
+Preemption support (armed only when the queue worker passes a
 ``snapshot_dir``): the worker installs SIGTERM/SIGINT handlers, polls
 the suspension flag at every event boundary, periodically snapshots
 the full simulator state, and — on suspension — writes a final
 snapshot before raising :class:`~repro.errors.SuspendRequested` back
-to the pool.  A later execution of the same run id restores from the
+to the worker.  A later execution of the same run id restores from the
 snapshot and continues; determinism makes the resumed payload
 byte-identical to an uninterrupted one.
 """
@@ -182,7 +181,7 @@ def _execute_simulate(
                 pass  # a full disk must not mask the suspension
             else:
                 exc.snapshot_path = str(written)
-        # The worker stays in the pool; clear the flag so a later
+        # The worker keeps draining; clear the flag so a later
         # (e.g. guard-shed, then re-dispatched) run isn't instantly
         # re-suspended by this request.
         suspend.reset()
@@ -265,13 +264,14 @@ def execute_run(
 ) -> dict[str, object]:
     """Execute one campaign run; returns a deterministic result dict.
 
-    This is the function campaign workers unpickle and call; keep it
-    importable as ``repro.slurm.entry.execute_run``.  The campaign
-    runner partials in *bundle_dir*: when set, any
+    This is the function campaign queue workers call; keep it
+    importable as ``repro.slurm.entry.execute_run``.  The queue
+    worker partials in *bundle_dir*: when set, any
     :class:`~repro.errors.ReproError` raised by the run is serialised
     as a replay bundle at ``<bundle_dir>/<run_id>.bundle.json``
-    (best-effort) before the error propagates to the pool, so the
-    crash is reproducible even though the worker process is gone.
+    (best-effort), and its path set as the error's ``bundle_path``,
+    before the error propagates to the worker — so the crash is
+    reproducible even after the worker process is gone.
 
     With *snapshot_dir* set, ``simulate`` runs become preemption-safe:
     SIGTERM/SIGINT suspends the simulation at the next event boundary

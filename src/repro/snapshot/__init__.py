@@ -10,8 +10,8 @@ of the *simulated* jobs:
   wall-clock-triggered;
 * :mod:`repro.snapshot.suspend` — SIGTERM/SIGINT → cooperative
   suspension at the next event boundary;
-* :mod:`repro.snapshot.guards` — per-worker RSS budgets and a
-  store-disk watermark that shed load instead of dying.
+* :mod:`repro.snapshot.guards` — the RSS and free-disk probes behind
+  the queue worker's memory budget and disk watermark.
 
 The headline guarantee (enforced by tests): a run suspended
 mid-flight, snapshotted, restored and run to completion produces
@@ -19,7 +19,7 @@ results byte-identical to the same run executed uninterrupted.
 """
 
 from repro.snapshot.auto import AutoSnapshotter, parse_snapshot_every
-from repro.snapshot.guards import GuardTrip, ResourceGuards, disk_free_mb, rss_mb_of
+from repro.snapshot.guards import disk_free_mb, rss_mb_of
 from repro.snapshot.state import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_SUFFIX,
@@ -34,8 +34,6 @@ from repro.snapshot.state import (
 __all__ = [
     "AutoSnapshotter",
     "parse_snapshot_every",
-    "GuardTrip",
-    "ResourceGuards",
     "disk_free_mb",
     "rss_mb_of",
     "SNAPSHOT_MAGIC",

@@ -1,35 +1,28 @@
-"""Resource guards: shed load instead of dying.
+"""Resource probes: shed load instead of dying.
 
 Two budgets protect long campaigns from the two classic silent
-killers of hour-scale runs:
+killers of hour-scale runs.  :class:`~repro.campaign.queue.QueueWorker`
+enforces both with the probes below:
 
-* **per-worker RSS** — a worker whose resident set exceeds the budget
-  is asked (SIGTERM, by the campaign runner) to snapshot-and-suspend
-  its current run; the run re-queues and later resumes from its
-  snapshot in a fresh-memory worker, instead of the OOM killer
-  SIGKILLing the worker and costing a retry attempt;
-* **store-disk watermark** — when free space under the result store
-  falls below the watermark the runner pauses dispatching new runs
+* **per-worker RSS** — a worker whose resident set exceeds
+  ``rss_budget_mb`` suspends its current run at the next event
+  boundary; the run goes back to the queue with its snapshot and no
+  delivery penalty, and the worker exits to be replaced by a
+  fresh-memory one, instead of the OOM killer SIGKILLing it;
+* **store-disk watermark** — while free space under the result store
+  is below ``disk_min_free_mb`` the worker stops claiming new runs
   (backpressure) until space recovers, instead of every result,
   snapshot, and bundle write starting to fail at once.
 
-Guard trips surface as structured ``guard`` progress events, so a
-shed or a pause is visible in the campaign's JSONL event stream.
-
-Probes are injectable for tests; the default RSS probe reads
-``/proc/<pid>/status`` (Linux) and reports ``None`` elsewhere, which
-leaves the RSS guard inert rather than wrong.
+The default RSS probe reads ``/proc/<pid>/status`` (Linux) and
+reports ``None`` elsewhere, which leaves the RSS budget inert rather
+than wrong.
 """
 
 from __future__ import annotations
 
 import shutil
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
-
-from repro.errors import ConfigError
 
 
 def rss_mb_of(pid: int) -> float | None:
@@ -47,115 +40,3 @@ def rss_mb_of(pid: int) -> float | None:
 def disk_free_mb(path: str | Path) -> float:
     """Free space on the filesystem holding *path*, in MB."""
     return shutil.disk_usage(path).free / (1024.0 * 1024.0)
-
-
-@dataclass(frozen=True)
-class GuardTrip:
-    """One budget violation observed by a guard poll."""
-
-    kind: str  #: ``"rss"`` or ``"disk"``
-    message: str
-    value_mb: float
-    limit_mb: float
-    pid: int | None = None
-
-
-class ResourceGuards:
-    """Polls the RSS and disk budgets, rate-limited.
-
-    :meth:`check` returns ``None`` when the poll interval has not
-    elapsed (callers keep their previous pause/shed state), or the
-    list of current trips (possibly empty, meaning *all clear*).
-    """
-
-    def __init__(
-        self,
-        rss_budget_mb: float | None = None,
-        disk_min_free_mb: float | None = None,
-        watch_path: str | Path | None = None,
-        poll_interval_s: float = 2.0,
-        clock: Callable[[], float] = time.monotonic,
-        rss_probe: Callable[[int], float | None] = rss_mb_of,
-        disk_probe: Callable[[str | Path], float] = disk_free_mb,
-    ) -> None:
-        if rss_budget_mb is not None and rss_budget_mb <= 0:
-            raise ConfigError(
-                f"rss_budget_mb must be positive, got {rss_budget_mb}"
-            )
-        if disk_min_free_mb is not None and disk_min_free_mb <= 0:
-            raise ConfigError(
-                f"disk_min_free_mb must be positive, got {disk_min_free_mb}"
-            )
-        if disk_min_free_mb is not None and watch_path is None:
-            raise ConfigError("disk_min_free_mb requires watch_path")
-        if poll_interval_s < 0:
-            raise ConfigError(
-                f"poll_interval_s must be >= 0, got {poll_interval_s}"
-            )
-        self.rss_budget_mb = rss_budget_mb
-        self.disk_min_free_mb = disk_min_free_mb
-        self.watch_path = Path(watch_path) if watch_path is not None else None
-        self.poll_interval_s = poll_interval_s
-        self._clock = clock
-        self._rss_probe = rss_probe
-        self._disk_probe = disk_probe
-        self._last_poll: float | None = None
-        self.trips_seen = 0
-
-    @property
-    def armed(self) -> bool:
-        return self.rss_budget_mb is not None or self.disk_min_free_mb is not None
-
-    # ------------------------------------------------------------------
-    def check(self, pids: Sequence[int] = ()) -> list[GuardTrip] | None:
-        """Poll the budgets against *pids* (worker processes).
-
-        Returns ``None`` if rate-limited, else the list of trips.
-        """
-        if not self.armed:
-            return []
-        now = self._clock()
-        if (
-            self._last_poll is not None
-            and now - self._last_poll < self.poll_interval_s
-        ):
-            return None
-        self._last_poll = now
-        trips: list[GuardTrip] = []
-        if self.disk_min_free_mb is not None and self.watch_path is not None:
-            try:
-                free = float(self._disk_probe(self.watch_path))
-            except OSError:
-                free = None  # store dir vanished; other layers will report
-            if free is not None and free < self.disk_min_free_mb:
-                trips.append(
-                    GuardTrip(
-                        kind="disk",
-                        message=(
-                            f"store disk low: {free:.0f} MB free < "
-                            f"{self.disk_min_free_mb:.0f} MB watermark; "
-                            f"pausing dispatch"
-                        ),
-                        value_mb=free,
-                        limit_mb=self.disk_min_free_mb,
-                    )
-                )
-        if self.rss_budget_mb is not None:
-            for pid in pids:
-                rss = self._rss_probe(pid)
-                if rss is not None and rss > self.rss_budget_mb:
-                    trips.append(
-                        GuardTrip(
-                            kind="rss",
-                            message=(
-                                f"worker {pid} RSS {rss:.0f} MB exceeds "
-                                f"{self.rss_budget_mb:.0f} MB budget; "
-                                f"suspending its run"
-                            ),
-                            value_mb=rss,
-                            limit_mb=self.rss_budget_mb,
-                            pid=pid,
-                        )
-                    )
-        self.trips_seen += len(trips)
-        return trips

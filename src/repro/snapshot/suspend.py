@@ -20,6 +20,11 @@ import threading
 
 _requests = 0
 
+#: Signals received so far in this process; never reset, so a caller
+#: that clears the flag can still tell whether a real SIGTERM/SIGINT
+#: arrived in the meantime (see :func:`signals_received`).
+_signals = 0
+
 
 def request_suspend(signum: int | None = None, frame: object = None) -> None:
     """Record a suspend request (signal-handler compatible signature).
@@ -28,7 +33,9 @@ def request_suspend(signum: int | None = None, frame: object = None) -> None:
     :class:`KeyboardInterrupt` so a wedged shutdown can still be
     interrupted from the keyboard.
     """
-    global _requests
+    global _requests, _signals
+    if signum is not None:
+        _signals += 1
     _requests += 1
     if _requests > 2:
         raise KeyboardInterrupt
@@ -37,6 +44,11 @@ def request_suspend(signum: int | None = None, frame: object = None) -> None:
 def suspend_requested() -> bool:
     """True once a suspend has been requested in this process."""
     return _requests > 0
+
+
+def signals_received() -> int:
+    """How many SIGTERM/SIGINT requests this process has received."""
+    return _signals
 
 
 def reset() -> None:

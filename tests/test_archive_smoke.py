@@ -14,7 +14,7 @@ import pytest
 
 from repro.archive import ingest_swf, replay_archive, synth_swf
 from repro.archive.columnar import ColumnarStore
-from repro.snapshot.guards import ResourceGuards, rss_mb_of
+from repro.snapshot.guards import rss_mb_of
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("REPRO_LARGE_SMOKE"),
@@ -35,13 +35,12 @@ def test_50k_job_replay_end_to_end(tmp_path):
     assert ingest.quarantined == 0
     assert ingest.windows >= 5
 
-    guards = ResourceGuards(rss_budget_mb=RSS_BUDGET_MB)
     outcome = replay_archive(
         tmp_path / "archive",
         tmp_path / "store",
         strategy="easy_backfill",
         num_nodes=256,
-        guards=guards,
+        rss_budget_mb=RSS_BUDGET_MB,
     )
     assert outcome.ok, "replay tripped a guard or failed a window"
 

@@ -53,13 +53,18 @@ class TestCampaignCommand:
         assert not (tmp_path / "store" / "results.jsonl").exists()
 
     def test_progress_log(self, tmp_path):
-        log = tmp_path / "progress.jsonl"
-        assert campaign(tmp_path, "--progress-log", str(log), "--quiet") == 0
-        events = [json.loads(l) for l in log.read_text().splitlines()]
+        # The fleet event sidecar under .queue/metrics/ is the progress
+        # log: one submit, then an enqueue, claim and complete per run.
+        from repro.observability.events import read_fleet_events
+
+        assert campaign(tmp_path, "--quiet") == 0
+        events = read_fleet_events(tmp_path / "store")
         kinds = [e["kind"] for e in events]
-        assert kinds.count("started") == 2
-        assert kinds.count("completed") == 2
-        assert events[-1]["done"] == events[-1]["total"] == 2
+        assert kinds.count("submit") == 1
+        for kind in ("enqueue", "claim", "complete"):
+            assert kinds.count(kind) == 2
+        runs = {e["run_id"] for e in events if e["kind"] == "complete"}
+        assert len(runs) == 2
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         assert campaign(tmp_path, "--quiet", "--no-jsonl") == 0

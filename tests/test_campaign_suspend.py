@@ -1,5 +1,6 @@
 """Tests for graceful campaign shutdown, resource guards, store
-locking, and the ``repro resume`` command.
+locking, and the ``repro resume`` command — all through the one
+campaign executor, the durable queue.
 
 The flagship test SIGTERMs a live multi-worker campaign subprocess
 (including a registry experiment) and asserts that ``repro resume``
@@ -14,20 +15,21 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.campaign.progress import ProgressTracker
-from repro.campaign.runner import CampaignRunner, SuspendedRun
+import repro.campaign.queue as queue_mod
+from repro.campaign.queue import SuspendedRun, WorkQueue, run_campaign
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore, StoreLock
 from repro.cli import EXIT_INTERRUPTED, EXIT_SUSPENDED, main
 from repro.errors import ConfigError, SuspendRequested
+from repro.observability.events import read_fleet_events
 from repro.snapshot import suspend
-from repro.snapshot.guards import ResourceGuards
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -48,15 +50,20 @@ def runs_of(values):
     ]
 
 
-# Entry functions must be module-level so ProcessPoolExecutor can
-# pickle them.
 def double_entry(params):
     return {"doubled": params["value"] * 2}
 
 
-def sleepy_entry(params):
-    time.sleep(params["sleep_s"])
-    return {"slept": params["sleep_s"]}
+def polling_entry(params):
+    """Runs until a suspend is requested, then checkpoints, as the
+    simulator does at its next event boundary."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if suspend.suspend_requested():
+            suspend.reset()
+            raise SuspendRequested("shed", snapshot_path=params.get("snap"))
+        time.sleep(0.01)
+    return {"finished": True}
 
 
 def suspending_entry(params):
@@ -75,10 +82,10 @@ def suspending_entry(params):
 # ----------------------------------------------------------------------
 class TestSerialSuspend:
     def test_flag_set_before_dispatch_stops_cleanly(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        runner = CampaignRunner(store=store, workers=1, entry=double_entry)
         suspend.request_suspend()
-        outcome = runner.run(runs_of([1, 2, 3]))
+        outcome = run_campaign(
+            tmp_path / "store", runs_of([1, 2, 3]), entry=double_entry
+        )
         assert outcome.interrupted
         assert not outcome.ok
         assert outcome.results == {}
@@ -92,28 +99,26 @@ class TestSerialSuspend:
             ),
             RunSpec.from_params({"kind": "test", "value": 9}),
         ]
-        runner = CampaignRunner(workers=1, entry=suspending_entry)
-        outcome = runner.run(runs)
+        outcome = run_campaign(tmp_path / "store", runs, entry=suspending_entry)
         assert outcome.interrupted
         assert outcome.suspended == [
             SuspendedRun(runs[0].run_id, runs[0].label, "here.snap")
         ]
-        # dispatch stopped: the second run never executed
+        # claiming stopped: the second run never executed
         assert outcome.results == {}
+        item = WorkQueue(tmp_path / "store").read_item(runs[0].run_id)
+        assert item.extra["requeued"] == "sigterm"
+        assert item.deliveries == 0  # handed back without a penalty
 
     def test_rerun_after_suspension_completes(self, tmp_path):
         marker = tmp_path / "marker"
-        store = ResultStore(tmp_path / "store")
+        store = tmp_path / "store"
         runs = [
             RunSpec.from_params({"kind": "test", "marker": str(marker)})
         ]
-        first = CampaignRunner(
-            store=store, workers=1, entry=suspending_entry
-        ).run(runs)
+        first = run_campaign(store, runs, entry=suspending_entry)
         assert first.interrupted and len(first.suspended) == 1
-        second = CampaignRunner(
-            store=store, workers=1, entry=suspending_entry
-        ).run(runs)
+        second = run_campaign(store, runs, entry=suspending_entry)
         assert second.ok
         assert second.payloads() == [{"resumed": True}]
 
@@ -123,132 +128,124 @@ class TestSerialSuspend:
 # ----------------------------------------------------------------------
 class TestParallelSuspend:
     def test_graceful_shutdown_drains_inflight_and_leaves_queue(self, tmp_path):
+        # SIGTERM lands while the first run is in flight; that run does
+        # not poll the flag, so it finishes and is recorded.  The
+        # worker then stops claiming and the queued runs are left for
+        # a resume.
+        def signalled_entry(params):
+            if params["value"] == 0:
+                suspend.request_suspend()
+            return double_entry(params)
+
         store = ResultStore(tmp_path / "store")
-        runner = CampaignRunner(
-            store=store,
-            workers=2,
-            entry=sleepy_entry,
-            snapshot_dir=tmp_path / "snaps",  # arms the responsive wait
-            kill=lambda pid, sig: None,  # don't actually signal workers
-        )
-        runs = [
-            RunSpec.from_params({"kind": "test", "value": v, "sleep_s": 1.0})
-            for v in range(4)
-        ]
-        timer = threading.Timer(0.3, suspend.request_suspend)
-        timer.start()
-        try:
-            outcome = runner.run(runs)
-        finally:
-            timer.cancel()
+        runs = runs_of(range(4))
+        outcome = run_campaign(store.root, runs, entry=signalled_entry)
         assert outcome.interrupted
-        # The two in-flight runs finished within the grace window and
-        # were recorded; the two queued runs were simply left behind.
-        assert outcome.completed == 2
-        assert len(store.completed_ids()) == 2
+        assert outcome.completed == 1
+        assert len(store.completed_ids()) == 1
         assert outcome.suspended == []
         assert not suspend.suspend_requested()
 
-        resumed = CampaignRunner(
-            store=store, workers=2, entry=sleepy_entry
-        ).run(runs)
+        resumed = run_campaign(store.root, runs, entry=double_entry)
         assert resumed.ok
-        assert resumed.cached == 2 and resumed.completed == 2
+        assert resumed.cached == 1 and resumed.completed == 3
         assert len(store.completed_ids()) == 4
 
-    def test_shed_run_requeues_without_attempt_penalty(self, tmp_path):
-        # A worker that raises SuspendRequested while the parent's
-        # shutdown flag is clear models an RSS-guard shed: the run must
-        # re-queue and succeed on resubmission, with no failure.
-        marker = tmp_path / "shed-marker"
-        events = []
-        runner = CampaignRunner(
-            workers=2,
-            entry=suspending_entry,
-            retries=0,  # a shed must not consume an attempt
-            progress=events.append,
-        )
+    def test_shed_run_requeues_without_attempt_penalty(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker over its RSS budget sheds its run: the run goes back
+        # to the queue with its snapshot and no delivery penalty, and
+        # a later drain completes it — with retries=0, so the shed
+        # cannot have consumed an attempt.
+        monkeypatch.setattr(queue_mod, "rss_mb_of", lambda pid: 500.0)
         runs = [
-            RunSpec.from_params({"kind": "test", "marker": str(marker)}),
-            RunSpec.from_params({"kind": "test", "value": 5, "marker": str(tmp_path / "other")}),
+            RunSpec.from_params({"kind": "test", "snap": "shed.snap"}),
+            RunSpec.from_params({"kind": "test", "value": 5}),
         ]
-        # Make the second run complete normally on its first call.
-        (tmp_path / "other").touch()
-        outcome = runner.run(runs)
-        assert outcome.ok
-        assert outcome.payloads()[0] == {"resumed": True}
-        sheds = [e for e in events if e.kind == "retry" and "shed" in (e.error or "")]
-        assert len(sheds) == 1
+        config = {"retries": 0, "rss_budget_mb": 100.0}
+        store = tmp_path / "store"
+        outcome = run_campaign(store, runs, entry=polling_entry, config=config)
+        assert outcome.status == "shed" and outcome.interrupted
+        assert outcome.suspended == [
+            SuspendedRun(runs[0].run_id, runs[0].label, "shed.snap")
+        ]
+        item = WorkQueue(store).read_item(runs[0].run_id)
+        assert item.extra["requeued"] == "rss-shed"
+        assert item.deliveries == 0
+
+        monkeypatch.setattr(queue_mod, "rss_mb_of", lambda pid: 10.0)
+        again = run_campaign(store, runs, entry=lambda params: {"ok": 1})
+        assert again.ok and not again.failures
+        assert again.completed == 2
 
 
 # ----------------------------------------------------------------------
-# Resource-guard dispatch logic (white-box, fake probes)
+# Resource-guard ladder of the queue worker (fake probes)
 # ----------------------------------------------------------------------
 class TestGuardDispatch:
-    def _tracker(self, events):
-        return ProgressTracker(total=0, sink=events.append)
-
-    def test_rss_trip_sigterms_offender_once(self):
-        killed = []
-        events = []
-        runner = CampaignRunner(
-            entry=double_entry,
-            guards=ResourceGuards(
-                rss_budget_mb=100.0,
-                poll_interval_s=0.0,
-                rss_probe=lambda pid: 500.0 if pid == 42 else 10.0,
-            ),
-            kill=lambda pid, sig: killed.append((pid, sig)),
+    def test_rss_trip_sigterms_offender_once(self, tmp_path, monkeypatch):
+        # The over-budget worker sheds its run once, and only once: it
+        # leaves the drain instead of requesting suspension again, which
+        # would escalate into a hard KeyboardInterrupt.
+        monkeypatch.setattr(queue_mod, "rss_mb_of", lambda pid: 500.0)
+        runs = [
+            RunSpec.from_params({"kind": "test", "value": v}) for v in (1, 2)
+        ]
+        outcome = run_campaign(
+            tmp_path, runs, entry=polling_entry,
+            config={"rss_budget_mb": 100.0},
         )
-        tracker = self._tracker(events)
-        paused = runner._dispatch_paused(tracker, [41, 42], False)
-        assert paused is False  # rss trips never pause dispatch
-        assert killed == [(42, signal.SIGTERM)]
-        assert [e.kind for e in events] == ["guard"]
-        # Second poll: the pid is already shed; no SIGTERM storm that
-        # would escalate the worker into a hard KeyboardInterrupt.
-        runner._dispatch_paused(tracker, [41, 42], False)
-        assert killed == [(42, signal.SIGTERM)]
+        assert outcome.status == "shed"
+        events = read_fleet_events(tmp_path)
+        assert [e["kind"] for e in events if e["kind"] == "claim"] == ["claim"]
+        requeues = [e for e in events if e["kind"] == "requeue"]
+        assert [e["reason"] for e in requeues] == ["rss-shed"]
+        assert not suspend.suspend_requested()
 
-    def test_disk_trip_pauses_then_recovers(self, tmp_path):
-        frees = iter([5.0, 5000.0])
-        events = []
-        runner = CampaignRunner(
-            entry=double_entry,
-            guards=ResourceGuards(
-                disk_min_free_mb=100.0,
-                watch_path=tmp_path,
-                poll_interval_s=0.0,
-                disk_probe=lambda path: next(frees),
-            ),
+    def test_disk_trip_pauses_then_recovers(self, tmp_path, monkeypatch):
+        frees = iter([5.0])
+        monkeypatch.setattr(
+            queue_mod, "disk_free_mb", lambda path: next(frees, 5000.0)
         )
-        tracker = self._tracker(events)
-        assert runner._dispatch_paused(tracker, [], False) is True
-        assert runner._dispatch_paused(tracker, [], True) is False
-        messages = [e.error for e in events]
-        assert any("disk low" in m for m in messages)
-        assert any("recovered" in m for m in messages)
-
-    def test_rate_limited_poll_keeps_previous_state(self, tmp_path):
-        ticks = iter([0.0, 1.0])
-        runner = CampaignRunner(
-            entry=double_entry,
-            guards=ResourceGuards(
-                disk_min_free_mb=100.0,
-                watch_path=tmp_path,
-                poll_interval_s=60.0,
-                clock=lambda: next(ticks),
-                disk_probe=lambda path: 5.0,
-            ),
+        notes, sleeps = [], []
+        outcome = run_campaign(
+            tmp_path, runs_of([1]), entry=double_entry, note=notes.append,
+            sleep=sleeps.append, config={"disk_min_free_mb": 100.0},
         )
-        tracker = self._tracker([])
-        assert runner._dispatch_paused(tracker, [], False) is True
-        # 1s later: rate-limited; the pause state must stick.
-        assert runner._dispatch_paused(tracker, [], True) is True
+        assert outcome.ok
+        assert any("under the 100 MB watermark" in n for n in notes)
+        assert sleeps == [2.0]  # paused once, then claimed
 
-    def test_no_guards_never_pauses(self):
-        runner = CampaignRunner(entry=double_entry)
-        assert runner._dispatch_paused(self._tracker([]), [1], True) is False
+    def test_no_guards_never_pauses(self, tmp_path, monkeypatch):
+        def probe(*args):
+            raise AssertionError("an unarmed guard probed")
+
+        monkeypatch.setattr(queue_mod, "rss_mb_of", probe)
+        monkeypatch.setattr(queue_mod, "disk_free_mb", probe)
+        sleeps = []
+        outcome = run_campaign(
+            tmp_path, runs_of([1, 2]), entry=double_entry, sleep=sleeps.append
+        )
+        assert outcome.ok and sleeps == []
+
+    def test_rss_budget_sheds_at_one_worker(self, tmp_path, monkeypatch, capsys):
+        # The in-process drain of `repro campaign --workers 1` enforces
+        # --rss-budget-mb: the run snapshots, goes back to the queue as
+        # an rss-shed with its snapshot, and the campaign exits 4.
+        monkeypatch.setattr(queue_mod, "rss_mb_of", lambda pid: 10_000.0)
+        store = tmp_path / "store"
+        code = main([
+            "campaign", "--jobs", "200", "--sizes", "32", "--seeds", "1",
+            "--strategies", "easy_backfill", "--workers", "1",
+            "--rss-budget-mb", "100", "--store", str(store), "--quiet",
+        ])
+        assert code == EXIT_SUSPENDED
+        assert "campaign suspended" in capsys.readouterr().err
+        (item,) = WorkQueue(store).iter_items()
+        assert item.extra["requeued"] == "rss-shed"
+        assert Path(item.extra["snapshot"]).is_file()
+        assert not ResultStore(store).completed_ids()
 
 
 # ----------------------------------------------------------------------
@@ -357,17 +354,14 @@ class TestStoreLock:
         store = ResultStore(tmp_path / "store")
         holder = store.lock().acquire()
         try:
-            runner = CampaignRunner(store=store, workers=1, entry=double_entry)
             with pytest.raises(ConfigError, match="locked"):
-                runner.run(runs_of([1]))
+                run_campaign(store.root, runs_of([1]), entry=double_entry)
         finally:
             holder.release()
 
     def test_runner_releases_lock_after_run(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        CampaignRunner(store=store, workers=1, entry=double_entry).run(
-            runs_of([1])
-        )
+        run_campaign(store.root, runs_of([1]), entry=double_entry)
         with store.lock() as lock:
             assert lock.held
 
@@ -535,6 +529,34 @@ class TestResumeCommand:
         assert "1 executed, 1 cached" in capsys.readouterr().out
 
 
+    def test_resume_completes_plain_campaign_store(self, tmp_path, capsys):
+        # A store written by the former in-process campaign runner: its
+        # manifest records a worker count and no `queue: true`, and it
+        # has no .queue/ directory.  Resume drains it through the queue
+        # to the bytes a fresh campaign writes.
+        fresh = tmp_path / "fresh"
+        assert main(
+            ["campaign", *SMALL, "--workers", "1",
+             "--store", str(fresh), "--quiet"]
+        ) == 0
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        records = sorted(
+            p for p in fresh.glob("*.json") if not p.name.startswith(".")
+        )
+        (plain / records[0].name).write_bytes(records[0].read_bytes())
+        manifest = json.loads((fresh / ".campaign.json").read_text())
+        del manifest["settings"]["queue"]
+        manifest["settings"]["workers"] = 1
+        ResultStore(plain).write_manifest(manifest)
+        assert not (plain / ".queue").exists()
+        capsys.readouterr()
+        assert main(["resume", str(plain), "--quiet"]) == 0
+        assert "1 executed, 1 cached" in capsys.readouterr().out
+        for name in [p.name for p in records] + ["results.jsonl"]:
+            assert (plain / name).read_bytes() == (fresh / name).read_bytes()
+
+
 class TestExitCodes:
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
         import repro.cli as cli
@@ -582,7 +604,7 @@ class TestSuspendResumeIntegration:
         return subprocess.run(
             [sys.executable, "-m", "repro", *args],
             capture_output=True, text=True, timeout=timeout,
-            cwd="/root/repo", env={**os.environ, "PYTHONPATH": "src"},
+            cwd=REPO, env={**os.environ, "PYTHONPATH": "src"},
         )
 
     def test_sigterm_then_resume_is_byte_identical(self, tmp_path):
@@ -593,19 +615,18 @@ class TestSuspendResumeIntegration:
         assert proc.returncode == 0, proc.stderr
 
         interrupted_store = tmp_path / "interrupted"
-        progress_log = tmp_path / "progress.jsonl"
         child = subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign", *CAMPAIGN_ARGS,
-             "--store", str(interrupted_store),
-             "--progress-log", str(progress_log)],
+             "--store", str(interrupted_store)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            cwd="/root/repo", env={**os.environ, "PYTHONPATH": "src"},
+            cwd=REPO, env={**os.environ, "PYTHONPATH": "src"},
         )
         # Don't SIGTERM before the campaign's handlers are installed:
-        # wait until the progress log shows runs actually in flight.
+        # wait until the fleet's event sidecars show runs claimed.
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
-            if progress_log.exists() and "started" in progress_log.read_text():
+            events = read_fleet_events(interrupted_store)
+            if any(e["kind"] == "claim" for e in events):
                 break
             time.sleep(0.05)
         else:

@@ -409,7 +409,7 @@ class TestChaosFailpoint:
 
         outcome = run_chaos(
             tmp_path,
-            workload="queue",
+            workload="campaign",
             workers=2,
             failpoints=("queue.metrics.write",),
         )

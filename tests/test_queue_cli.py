@@ -1,4 +1,4 @@
-"""CLI surface of the durable work queue: ``repro campaign --join``,
+"""CLI surface of the durable work queue: ``repro campaign`` drains,
 ``repro queue status|work``, and a live two-worker crash drill."""
 
 from __future__ import annotations
@@ -27,17 +27,18 @@ SMALL = [
 
 def join(tmp_path, *extra, store="store", workers="1"):
     return main(
-        ["campaign", *SMALL, "--join", "--workers", workers,
+        ["campaign", *SMALL, "--workers", workers,
          "--store", str(tmp_path / store), *extra]
     )
 
 
 class TestParser:
     def test_campaign_join_flag(self):
-        args = build_parser().parse_args(
-            ["campaign", "--jobs", "10", "--join"]
-        )
-        assert args.join is True
+        # Every campaign drains through the queue, so the former
+        # --join opt-in (and --progress-log) are gone.
+        for flag in ("--join", "--progress-log=x"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["campaign", "--jobs", "10", flag])
 
     def test_queue_status_and_work(self):
         parser = build_parser()
@@ -103,8 +104,8 @@ class TestCampaignJoin:
     def test_join_drains_and_reports(self, tmp_path, capsys):
         assert join(tmp_path) == 0
         out = capsys.readouterr().out
-        assert "2 stored, 0 failed" in out
-        assert "queue drain" in out
+        assert "2 executed, 0 cached, 0 failed of 2 runs" in out
+        assert "workers=1" in out
         store = tmp_path / "store"
         assert WorkQueue(store).drained()
         lines = (store / "results.jsonl").read_text().splitlines()
@@ -114,7 +115,7 @@ class TestCampaignJoin:
         assert join(tmp_path) == 0
         capsys.readouterr()
         assert join(tmp_path) == 0
-        assert "2 stored" in capsys.readouterr().out
+        assert "0 executed, 2 cached" in capsys.readouterr().out
 
     def test_join_store_matches_direct_campaign_byte_for_byte(
         self, tmp_path, capsys

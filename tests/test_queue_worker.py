@@ -3,6 +3,8 @@ the degradation ladder, and fenced-result discard."""
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
@@ -215,6 +217,68 @@ class TestWorkerDrain:
         assert "deadline budget" in (
             queue.read_terminal("quarantined", runs[0].run_id)["reason"]
         )
+
+    def test_late_run_is_quarantined_not_committed(self, tmp_path):
+        """A run that does not poll finishes over its deadline: the
+        in-process drain cannot stop it, but does not commit it."""
+        def entry(params):
+            if params["experiment"] == "t0":
+                time.sleep(0.8)
+            return _entry_ok(params)
+
+        runs = _runs(2)
+        WorkQueue(tmp_path).enqueue(runs)
+        outcome = QueueWorker(
+            tmp_path, entry=entry, config={"deadline_s": 0.2}
+        ).drain()
+        assert outcome.status == "drained"
+        assert (outcome.quarantined, outcome.completed) == (1, 1)
+        queue = WorkQueue(tmp_path)
+        assert queue.terminal_ids("quarantined") == [runs[0].run_id]
+        assert not queue.store.has(runs[0].run_id)
+        assert queue.store.has(runs[1].run_id)
+
+    def test_signal_after_deadline_trip_still_suspends(self, tmp_path):
+        """Withdrawing the deadline monitor's stop request must not
+        swallow a SIGTERM that arrived while the run finished."""
+        def entry(params):
+            limit = time.monotonic() + 10.0
+            while not _suspend.suspend_requested():  # the deadline trip
+                assert time.monotonic() < limit, "deadline never tripped"
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(0.05)
+            return _entry_ok(params)
+
+        runs = _runs(2)
+        WorkQueue(tmp_path).enqueue(runs)
+        outcome = QueueWorker(
+            tmp_path, entry=entry, config={"deadline_s": 0.1},
+            install_signal_handlers=True,
+        ).drain()
+        assert outcome.exit_code == 4
+        assert outcome.quarantined == 1 and outcome.completed == 0
+        queue = WorkQueue(tmp_path)
+        assert queue.terminal_ids("quarantined") == [runs[0].run_id]
+        # The second run was never claimed: it waits for a resume.
+        assert [i.run_id for i in queue.iter_items()] == [runs[1].run_id]
+
+    def test_heartbeat_racing_own_release_is_not_a_fence(self, tmp_path):
+        """A heartbeat that finds the lease gone because the worker just
+        completed the run must not stop the drain."""
+        runs = _runs(2)
+        WorkQueue(tmp_path).enqueue(runs)
+        worker = QueueWorker(tmp_path, entry=_entry_ok)
+        release = worker.queue.complete
+
+        def complete(run_id, token):
+            release(run_id, token)
+            worker._on_lease_lost(run_id)  # the late heartbeat
+
+        worker.queue.complete = complete
+        outcome = worker.drain()
+        assert (outcome.status, outcome.completed) == ("drained", 2)
+        assert not _suspend.suspend_requested()
 
     def test_fenced_result_is_discarded_not_merged(self, tmp_path):
         """A worker whose lease was reclaimed mid-run must not commit."""

@@ -134,9 +134,9 @@ class TestHttpPlumbing:
 # ----------------------------------------------------------------------
 class TestSubmissionRegistry:
     def test_settings_lockstep_with_campaign_cli(self):
-        # Byte-identity with `repro campaign --join` stores hinges on
-        # the service recording exactly the CLI's default settings.
-        args = build_parser().parse_args(["campaign", "--join"])
+        # Byte-identity with `repro campaign` stores hinges on the
+        # service recording exactly the CLI's default settings.
+        args = build_parser().parse_args(["campaign"])
         expected = _campaign_settings_from_args(args)
         expected.pop("workers")
         expected["queue"] = True
@@ -254,7 +254,7 @@ class TestSubmissionRegistry:
         assert main([
             "campaign", "--jobs", "25", "--sizes", "16", "--seeds", "1",
             "--strategies", "fcfs", "--name", "svc-a",
-            "--join", "--workers", "1", "--store", str(baseline), "--quiet",
+            "--workers", "1", "--store", str(baseline), "--quiet",
         ]) == 0
         assert store_fingerprint(store_dir) == store_fingerprint(baseline)
 

@@ -24,7 +24,6 @@ from repro.slurm.config import SchedulerConfig
 from repro.slurm.manager import WorkloadManager, build_manager
 from repro.snapshot import suspend
 from repro.snapshot.auto import AutoSnapshotter, parse_snapshot_every
-from repro.snapshot.guards import GuardTrip, ResourceGuards
 from repro.snapshot.state import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -374,69 +373,95 @@ class TestEntryResume:
 
 
 # ----------------------------------------------------------------------
-# Resource guards
+# Resource guards: the queue worker's RSS budget and disk watermark
 # ----------------------------------------------------------------------
+def _guarded_worker(tmp_path, **config):
+    from repro.campaign.queue import QueueWorker, WorkQueue
+    from repro.campaign.spec import RunSpec
+
+    WorkQueue(tmp_path).enqueue(
+        [RunSpec.from_params({"kind": "test", "value": 1})]
+    )
+    sleeps: list[float] = []
+    worker = QueueWorker(
+        tmp_path, config=config, sleep=sleeps.append,
+        entry=lambda params: {"value": params["value"]},
+    )
+    return worker, sleeps
+
+
+def _probe_must_not_run(*args):
+    raise AssertionError("a disarmed guard probed")
+
+
 class TestResourceGuards:
-    def test_disarmed_guards_are_inert(self):
-        guards = ResourceGuards()
-        assert not guards.armed
-        assert guards.check([123]) == []
+    def test_disarmed_guards_are_inert(self, tmp_path, monkeypatch):
+        import threading
 
-    def test_rss_trip(self):
-        guards = ResourceGuards(
-            rss_budget_mb=100.0,
-            poll_interval_s=0.0,
-            rss_probe=lambda pid: 250.0 if pid == 11 else 50.0,
-        )
-        trips = guards.check([10, 11, 12])
-        assert [t.pid for t in trips] == [11]
-        assert trips[0].kind == "rss"
-        assert trips[0].value_mb == 250.0
-        assert guards.trips_seen == 1
+        import repro.campaign.queue as queue_mod
 
-    def test_unknowable_rss_never_trips(self):
-        guards = ResourceGuards(
-            rss_budget_mb=1.0, poll_interval_s=0.0, rss_probe=lambda pid: None
-        )
-        assert guards.check([1, 2, 3]) == []
+        monkeypatch.setattr(queue_mod, "rss_mb_of", _probe_must_not_run)
+        monkeypatch.setattr(queue_mod, "disk_free_mb", _probe_must_not_run)
+        worker, sleeps = _guarded_worker(tmp_path)
+        worker._monitor_run(threading.Event())  # returns at once
+        assert worker.drain().completed == 1
+        assert sleeps == []
 
-    def test_disk_trip_and_recovery(self, tmp_path):
-        frees = iter([10.0, 10.0, 900.0])
-        guards = ResourceGuards(
-            disk_min_free_mb=100.0,
-            watch_path=tmp_path,
-            poll_interval_s=0.0,
-            disk_probe=lambda path: next(frees),
-        )
-        first = guards.check()
-        assert len(first) == 1 and first[0].kind == "disk"
-        assert guards.check()[0].kind == "disk"
-        assert guards.check() == []
+    def test_rss_trip(self, tmp_path, monkeypatch):
+        import threading
 
-    def test_rate_limiting_returns_none(self):
-        ticks = iter([0.0, 1.0, 3.0])
-        guards = ResourceGuards(
-            rss_budget_mb=100.0,
-            poll_interval_s=2.0,
-            clock=lambda: next(ticks),
-            rss_probe=lambda pid: 50.0,
+        import repro.campaign.queue as queue_mod
+
+        monkeypatch.setattr(queue_mod, "rss_mb_of", lambda pid: 250.0)
+        worker, _ = _guarded_worker(tmp_path, rss_budget_mb=100.0)
+        # The first probe runs at claim time, before any wait.
+        worker._monitor_run(threading.Event())
+        assert worker._shed and not worker._deadline_hit
+        assert suspend.suspend_requested()
+
+    def test_unknowable_rss_never_trips(self, tmp_path, monkeypatch):
+        import threading
+        import time
+
+        import repro.campaign.queue as queue_mod
+
+        probes = []
+        monkeypatch.setattr(
+            queue_mod, "rss_mb_of", lambda pid: probes.append(pid)
         )
-        assert guards.check([1]) == []      # t=0: polls
-        assert guards.check([1]) is None    # t=1: rate-limited
-        assert guards.check([1]) == []      # t=3: polls again
+        worker, _ = _guarded_worker(tmp_path, rss_budget_mb=1.0)
+        stop = threading.Event()
+        monitor = threading.Thread(target=worker._monitor_run, args=(stop,))
+        monitor.start()
+        deadline = time.monotonic() + 10.0
+        while len(probes) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        stop.set()
+        monitor.join(timeout=5)
+        assert len(probes) >= 2  # polled, but None never trips
+        assert not worker._shed
+        assert not suspend.suspend_requested()
+
+    def test_disk_trip_and_recovery(self, tmp_path, monkeypatch):
+        import repro.campaign.queue as queue_mod
+
+        frees = iter([10.0, 10.0])
+        monkeypatch.setattr(
+            queue_mod, "disk_free_mb", lambda path: next(frees, 900.0)
+        )
+        worker, sleeps = _guarded_worker(tmp_path, disk_min_free_mb=100.0)
+        outcome = worker.drain()
+        # Two low-disk polls pause claiming; then the run is claimed.
+        assert sleeps == [2.0, 2.0]
+        assert outcome.completed == 1 and outcome.status == "drained"
 
     def test_config_validation(self, tmp_path):
-        with pytest.raises(ConfigError):
-            ResourceGuards(rss_budget_mb=0)
-        with pytest.raises(ConfigError):
-            ResourceGuards(disk_min_free_mb=10.0)  # needs watch_path
-        with pytest.raises(ConfigError):
-            ResourceGuards(rss_budget_mb=10.0, poll_interval_s=-1)
+        from repro.campaign.queue import QueueWorker
 
-    def test_guard_trip_is_frozen(self):
-        trip = GuardTrip(kind="rss", message="m", value_mb=1.0, limit_mb=2.0)
-        with pytest.raises(Exception):
-            trip.kind = "disk"  # type: ignore[misc]
+        with pytest.raises(ConfigError, match="rss_budget_mb"):
+            QueueWorker(tmp_path, config={"rss_budget_mb": -1.0})
+        with pytest.raises(ConfigError, match="disk_min_free_mb"):
+            QueueWorker(tmp_path, config={"disk_min_free_mb": -5.0})
 
     def test_real_probes_on_this_host(self, tmp_path):
         import os

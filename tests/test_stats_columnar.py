@@ -89,23 +89,18 @@ class TestStatsCli:
         assert len(lines) == 5  # header + one row per window
 
     def test_json_store_path_still_works(self, tmp_path, capsys):
-        from repro.campaign.runner import CampaignRunner
+        from repro.campaign.queue import run_campaign
         from repro.campaign.spec import (
             RunSpec,
             simulate_params,
             trinity_workload,
         )
-        from repro.campaign.store import ResultStore
-        from repro.slurm.entry import execute_run
 
         params = simulate_params(
             strategy="fcfs", num_nodes=8,
             workload=trinity_workload(jobs=15, nodes=8, seed=2),
         )
-        runner = CampaignRunner(
-            store=ResultStore(tmp_path), workers=1, entry=execute_run
-        )
-        assert runner.run([RunSpec.from_params(params)]).ok
+        assert run_campaign(tmp_path, [RunSpec.from_params(params)]).ok
         backend = detect_backend(tmp_path)
         assert isinstance(backend, JsonStoreBackend)
         assert main(["stats", str(tmp_path)]) == 0
