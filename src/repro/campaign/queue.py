@@ -97,7 +97,6 @@ from repro.campaign.spec import RunSpec
 from repro.campaign.store import ResultStore, StoreLock
 from repro.diagnostics.quarantine import QuarantinedRun
 from repro.errors import (
-    CampaignError,
     ConfigError,
     SuspendRequested,
     WatchdogError,
@@ -747,6 +746,42 @@ _NON_NEGATIVE_KEYS = (
 )
 
 
+def queue_config_from_settings(
+    settings: dict[str, object], store_dir: Path
+) -> dict[str, object]:
+    """Translate campaign manifest settings into the queue's
+    ``config.json`` so bare ``repro queue work <store>`` workers pick
+    up the same retry/quarantine/deadline/guard/sidecar behaviour the
+    campaign was started with (``repro campaign``, ``repro resume``
+    and served submissions all write it through here)."""
+    bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
+    snapshot_dir = Path(
+        str(settings.get("snapshot_dir") or store_dir / "snapshots")
+    )
+    telemetry_dir = (
+        store_dir / "telemetry" if settings.get("telemetry") else None
+    )
+    return {
+        "retries": int(settings.get("retries", 2) or 0),
+        "backoff": float(settings.get("backoff", 0.5)),  # type: ignore[arg-type]
+        "quarantine_after": int(settings.get("quarantine_after", 2) or 0),
+        # The campaign's per-run timeout becomes the queue's deadline
+        # budget: a run that exceeds it is quarantined, not retried.
+        "deadline_s": float(settings.get("timeout", 0.0) or 0.0),
+        "rss_budget_mb": float(settings.get("rss_budget_mb", 0.0) or 0.0),
+        "disk_min_free_mb": float(
+            settings.get("disk_min_free_mb", 0.0) or 0.0
+        ),
+        "bundle_dir": str(bundle_dir),
+        "snapshot_dir": str(snapshot_dir),
+        "snapshot_every": str(settings.get("snapshot_every") or "") or None,
+        "telemetry_dir": str(telemetry_dir) if telemetry_dir else None,
+        # Fleet event sidecars (observability plane); always on — they
+        # live under .queue/, outside the byte-identity surface.
+        "metrics": True,
+    }
+
+
 def build_entry(
     bundle_dir: str | Path | None = None,
     snapshot_dir: str | Path | None = None,
@@ -1237,67 +1272,11 @@ class QueueWorker:
         with self._entry_lock:
             self._in_entry = True
         try:
-            if item.params.get("kind") == "replay_chain":
-                return self._execute_replay_chain(item)
             return self.entry(item.params)
         finally:
             with self._entry_lock:
                 self._in_entry = False
             set_current_trace(previous)
-
-    def _execute_replay_chain(self, item: QueueItem) -> dict[str, object]:
-        """One whole per-strategy replay window chain as a queue item.
-
-        The chain executes serially inside this worker (window order
-        is a correctness requirement), into its own sub-store — the
-        queue provides the *across-strategy* parallelism ROADMAP item
-        2 left open.  Suspension of the inner chain propagates as
-        :class:`SuspendRequested` so the degradation ladder requeues
-        the chain; completed windows stay cached in the sub-store and
-        a redelivery resumes where it stopped.
-        """
-        from repro.archive.replay import replay_archive
-
-        archive_dir = item.extra.get("archive_dir")
-        store_dir = item.extra.get("store_dir")
-        if not archive_dir or not store_dir:
-            raise ConfigError(
-                f"replay_chain item {item.run_id} lacks archive_dir/"
-                f"store_dir extras"
-            )
-        params = item.params
-        outcome = replay_archive(
-            str(archive_dir),
-            str(store_dir),
-            strategy=str(params["strategy"]),
-            num_nodes=int(params["num_nodes"]),  # type: ignore[arg-type]
-            config=params.get("config"),  # type: ignore[arg-type]
-            telemetry_dir=(
-                str(self.config["telemetry_dir"])
-                if self.config.get("telemetry_dir")
-                else None
-            ),
-        )
-        campaign = outcome.campaign
-        if campaign.interrupted or campaign.suspended:
-            raise SuspendRequested(
-                f"replay chain {outcome.chain} suspended mid-drain"
-            )
-        if not campaign.ok:
-            problems = [f.error for f in campaign.failures]
-            problems += [q.incidents for q in campaign.quarantined]
-            raise CampaignError(
-                f"replay chain {outcome.chain} failed: {problems!r}"
-            )
-        stitched = dict(outcome.stitched or {})
-        return {
-            "kind": "replay_chain",
-            "chain": outcome.chain,
-            "strategy": str(params["strategy"]),
-            "num_nodes": int(params["num_nodes"]),  # type: ignore[arg-type]
-            "windows": int(params["windows"]),  # type: ignore[arg-type]
-            "stitched": stitched,
-        }
 
 
 # ----------------------------------------------------------------------

@@ -108,8 +108,8 @@ Commands
     cached campaign run stitched to the next through a boundary
     snapshot, with per-job results streamed to a columnar store.
     Byte-identical to a monolithic simulation of the same trace.
-    ``--strategies a b c`` fans the independent per-strategy window
-    chains out as queue items drained by ``--workers`` processes.
+    One strategy per invocation: compare strategies by replaying the
+    archive once per strategy into separate stores.
 ``fsck``
     Check a campaign/replay store, columnar store or ingested
     archive against its on-disk invariants: records match their
@@ -283,18 +283,12 @@ def _add_diagnostics_args(parser: argparse.ArgumentParser) -> None:
                             "advancing (0 = no watchdog)")
     group.add_argument("--max-events", type=int, default=0,
                        help="override the event dispatch ceiling (0 = default)")
-    group.add_argument("--no-flight-recorder", action="store_true",
-                       help="disable the crash flight recorder")
-    group.add_argument("--ring-size", type=int, default=256,
-                       help="flight recorder ring buffer capacity")
 
 
 def _diagnostics_from_args(args: argparse.Namespace):
     from repro.diagnostics import DiagnosticsConfig
 
     return DiagnosticsConfig(
-        flight_recorder=not args.no_flight_recorder,
-        ring_size=args.ring_size,
         wall_clock_limit_s=(
             args.wall_clock_limit if args.wall_clock_limit > 0 else None
         ),
@@ -643,15 +637,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             f"({type(settings_raw).__name__}, expected object)",
         )
     settings = dict(settings_raw)
-    if settings.get("queue") and not manifest.get("spec"):
-        # A replay fan-out store: the queue items carry absolute paths
-        # that only the original command knows how to regenerate.
-        return _usage_error(
-            "resume",
-            "this store is a replay fan-out; re-run the original "
-            "`repro replay-trace --strategies ...` command "
-            "(completed chains are cached)",
-        )
     try:
         spec = CampaignSpec.from_dict(manifest["spec"])  # type: ignore[arg-type]
     except (ReproError, KeyError, TypeError) as exc:
@@ -672,41 +657,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     )
 
 
-def _queue_config_from_settings(
-    settings: dict[str, object], store_dir: Path
-) -> dict[str, object]:
-    """Translate campaign manifest settings into the queue's
-    ``config.json`` so bare ``repro queue work <store>`` workers pick
-    up the same retry/quarantine/deadline/guard/sidecar behaviour the
-    campaign was started with."""
-    bundle_dir = Path(str(settings.get("bundle_dir") or store_dir / "bundles"))
-    snapshot_dir = Path(
-        str(settings.get("snapshot_dir") or store_dir / "snapshots")
-    )
-    telemetry_dir = (
-        store_dir / "telemetry" if settings.get("telemetry") else None
-    )
-    return {
-        "retries": int(settings.get("retries", 2) or 0),
-        "backoff": float(settings.get("backoff", 0.5)),  # type: ignore[arg-type]
-        "quarantine_after": int(settings.get("quarantine_after", 2) or 0),
-        # The campaign's per-run timeout becomes the queue's deadline
-        # budget: a run that exceeds it is quarantined, not retried.
-        "deadline_s": float(settings.get("timeout", 0.0) or 0.0),
-        "rss_budget_mb": float(settings.get("rss_budget_mb", 0.0) or 0.0),
-        "disk_min_free_mb": float(
-            settings.get("disk_min_free_mb", 0.0) or 0.0
-        ),
-        "bundle_dir": str(bundle_dir),
-        "snapshot_dir": str(snapshot_dir),
-        "snapshot_every": str(settings.get("snapshot_every") or "") or None,
-        "telemetry_dir": str(telemetry_dir) if telemetry_dir else None,
-        # Fleet event sidecars (observability plane); always on — they
-        # live under .queue/, outside the byte-identity surface.
-        "metrics": True,
-    }
-
-
 def _drain_campaign(
     spec,
     store_dir: Path,
@@ -722,7 +672,11 @@ def _drain_campaign(
     in this process with one worker, by a ``repro queue work`` fleet
     with more."""
     from repro.campaign import ResultStore
-    from repro.campaign.queue import WorkQueue, run_campaign
+    from repro.campaign.queue import (
+        WorkQueue,
+        queue_config_from_settings,
+        run_campaign,
+    )
     from repro.campaign.spec import run_id_of
 
     try:
@@ -751,7 +705,7 @@ def _drain_campaign(
             "settings": manifest_settings,
         })
         queue = WorkQueue(store_dir)
-        queue.write_config(_queue_config_from_settings(settings, store_dir))
+        queue.write_config(queue_config_from_settings(settings, store_dir))
         queue.arm_events()
         queue.events.emit(
             "submit", trace=trace_id, runs=len(runs), source="cli"
@@ -837,6 +791,19 @@ def _report_campaign(name: str, store_dir: Path, total: int, outcome) -> int:
         f"{counts} of {total} runs in {outcome.elapsed_s:.1f}s "
         f"(workers={outcome.workers}, store={store_dir})"
     )
+    return _report_outcome(
+        outcome, store_dir, name,
+        what="campaign", resume=f"`repro resume {store_dir}` continues it",
+    )
+
+
+def _report_outcome(
+    outcome, store_dir: Path, name: str, *, what: str, resume: str
+) -> int:
+    """The failure tail of a drain report — FAILED, QUARANTINED,
+    SUSPENDED and stalled lines on stderr — mapped onto the documented
+    exit codes.  Shared by ``campaign``/``resume`` and ``replay-trace``,
+    so no outcome of either exits 0 without saying why."""
     for failure in outcome.failures:
         print(
             f"FAILED {failure.run_id} ({failure.label}) after "
@@ -870,8 +837,9 @@ def _report_campaign(name: str, store_dir: Path, total: int, outcome) -> int:
                 file=sys.stderr,
             )
         print(
-            f"campaign suspended with {total - len(outcome.results)} runs "
-            f"outstanding; `repro resume {store_dir}` continues it",
+            f"{what} suspended with "
+            f"{len(outcome.order) - len(outcome.results)} runs "
+            f"outstanding; {resume}",
             file=sys.stderr,
         )
         return EXIT_SUSPENDED
@@ -887,7 +855,6 @@ def _report_campaign(name: str, store_dir: Path, total: int, outcome) -> int:
         # distinguishable from total failure for calling scripts.
         return EXIT_PARTIAL if outcome.results else 1
     return 0
-
 
 
 def _render_queue_status(status: dict, *, as_json: bool, watching: bool) -> None:
@@ -1212,157 +1179,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_trace_fanout(args: argparse.Namespace) -> int:
-    """``replay-trace --strategies a b c``: each per-strategy window
-    chain becomes one durable queue item (the chain's windows stay
-    serial — a correctness requirement — while the independent
-    strategies drain in parallel across the worker fleet)."""
-    from repro.archive import load_archive
-    from repro.campaign import ResultStore
-    from repro.campaign.queue import WorkQueue, drain_with_workers
-    from repro.campaign.spec import RunSpec
-    from repro.errors import ConfigError
-    from repro.snapshot import suspend as _suspend
-
-    store_dir = Path(args.store)
-    try:
-        archive = load_archive(args.archive)
-    except ConfigError as exc:
-        print(f"replay-trace error: {exc}", file=sys.stderr)
-        return 2
-    config: dict[str, object] = {}
-    if args.backfill_interval > 0:
-        config["backfill_interval"] = float(args.backfill_interval)
-    if args.threshold != 1.1:
-        config["share_threshold"] = float(args.threshold)
-    strategies = list(dict.fromkeys(args.strategies))
-    runs = []
-    extras: dict[str, dict[str, object]] = {}
-    for strategy in strategies:
-        params: dict[str, object] = {
-            "kind": "replay_chain",
-            "archive_id": archive.archive_id,
-            "strategy": strategy,
-            "num_nodes": int(args.nodes),
-            "windows": len(archive),
-        }
-        if config:
-            params["config"] = dict(config)
-        run = RunSpec.from_params(params)
-        runs.append(run)
-        # Absolute paths ride outside the content hash: the chain's
-        # identity is the archive id + plan, not where it lives.
-        extras[run.run_id] = {
-            "archive_dir": str(Path(args.archive).resolve()),
-            "store_dir": str((store_dir / strategy).resolve()),
-        }
-    store = ResultStore(store_dir)
-    note = (
-        None if args.quiet else (lambda line: print(line, file=sys.stderr))
-    )
-    try:
-        store.write_manifest({
-            "manifest_version": 1,
-            "name": f"replay-fanout:{archive.name}",
-            "spec": None,
-            "settings": {"queue": True, "kind": "replay_fanout"},
-        })
-        queue = WorkQueue(store_dir)
-        queue.write_config({
-            "retries": 0,
-            "rss_budget_mb": float(args.rss_budget_mb or 0.0),
-            "telemetry_dir": (
-                str(store_dir / "telemetry") if args.telemetry else None
-            ),
-        })
-        pending = queue.enqueue(runs)
-    except ConfigError as exc:
-        print(f"replay-trace error: {exc}", file=sys.stderr)
-        return 2
-    workers = (
-        args.workers if args.workers > 0
-        else min(len(strategies), max(1, os.cpu_count() or 1))
-    )
-    if note:
-        note(
-            f"fanout: {pending} strategy chains pending "
-            f"({len(archive)} windows each), {workers} workers"
-        )
-    previous = _suspend.install_signal_handlers()
-    try:
-        outcome = drain_with_workers(store_dir, workers, note=note)
-    finally:
-        if previous is not None:
-            _suspend.restore_signal_handlers(previous)
-    queue.reclaim_stale()
-    rows = []
-    for run in runs:
-        if not store.has(run.run_id):
-            continue
-        payload = store.load(run.run_id)["result"]
-        stitched = payload.get("stitched", {})
-        rows.append({
-            "strategy": payload["strategy"],
-            "windows": payload["windows"],
-            "jobs": stitched.get("jobs", ""),
-            "completed": stitched.get("completed", ""),
-            "makespan_h": round(
-                float(stitched.get("makespan_s", 0.0)) / 3600, 2
-            ),
-            "mean_wait_h": round(
-                float(stitched.get("mean_wait_s", 0.0)) / 3600, 3
-            ),
-            "store": str(store_dir / str(payload["strategy"])),
-        })
-    if args.json:
-        print(format_json({
-            "archive": archive.archive_id,
-            "strategies": strategies,
-            "status": outcome.status,
-            "chains": rows,
-        }))
-    elif rows:
-        print(format_table(rows, title=f"replay fanout: {archive.name}"))
-    failed = queue.terminal_ids("failed")
-    quarantined = queue.terminal_ids("quarantined")
-    for run_id in failed:
-        doc = queue.read_terminal("failed", run_id)
-        print(
-            f"FAILED {run_id} ({doc.get('label', '')}): "
-            f"{doc.get('error', '')}",
-            file=sys.stderr,
-        )
-    for run_id in quarantined:
-        doc = queue.read_terminal("quarantined", run_id)
-        print(
-            f"QUARANTINED {run_id}: {doc.get('reason', '')}",
-            file=sys.stderr,
-        )
-    if outcome.status == "suspended":
-        print(
-            "fanout suspended; re-run the same command to continue "
-            "(completed windows stay cached per strategy)",
-            file=sys.stderr,
-        )
-        return EXIT_SUSPENDED
-    if outcome.status == "stalled":
-        print(
-            f"fanout stalled (respawn budget exhausted); "
-            f"`repro queue status {store_dir}` for the census",
-            file=sys.stderr,
-        )
-        return 1
-    if failed or quarantined:
-        return EXIT_PARTIAL if rows else 1
-    return 0
-
-
 def _cmd_replay_trace(args: argparse.Namespace) -> int:
     from repro.archive import replay_archive
     from repro.errors import ConfigError
 
-    if args.strategies:
-        return _replay_trace_fanout(args)
     store_dir = Path(args.store)
     config: dict[str, object] = {}
     if args.backfill_interval > 0:
@@ -1412,21 +1232,13 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
                 f"mean wait {float(s['mean_wait_s']) / 3600:.2f}h "
                 f"(`repro stats {store_dir}` for detail)"
             )
-    for failure in campaign.failures:
-        print(
-            f"FAILED {failure.run_id} ({failure.label}): {failure.error}",
-            file=sys.stderr,
-        )
-    if campaign.interrupted:
-        print(
-            f"replay suspended; re-run the same command to continue "
-            f"(completed windows are cached in {store_dir})",
-            file=sys.stderr,
-        )
-        return EXIT_SUSPENDED
-    if campaign.failures:
-        return EXIT_PARTIAL if campaign.results else 1
-    return 0
+    return _report_outcome(
+        campaign, store_dir, f"replay:{outcome.chain}", what="replay",
+        resume=(
+            f"re-run the same command to continue (completed windows "
+            f"are cached in {store_dir})"
+        ),
+    )
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -1920,15 +1732,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument(
         "--strategy", choices=all_strategy_names(), default="easy_backfill"
     )
-    p_rt.add_argument("--strategies", nargs="*",
-                      choices=all_strategy_names(), default=[],
-                      help="fan several strategies out as queue items "
-                           "(one window chain each, drained by "
-                           "--workers processes into per-strategy "
-                           "sub-stores); overrides --strategy")
-    p_rt.add_argument("--workers", type=int, default=0,
-                      help="fanout worker processes "
-                           "(0 = one per strategy, capped at CPU count)")
     p_rt.add_argument("--nodes", type=int, default=128, help="cluster size")
     p_rt.add_argument("--backfill-interval", type=float, default=0.0,
                       help="periodic backfill pass interval in seconds "

@@ -10,15 +10,16 @@ deterministic reproducer and every hang into a structured error:
   escapes the event loop;
 * replay bundles (:func:`capture_bundle`, :func:`replay_bundle`) —
   canonical-JSON reproducers re-executed by ``repro replay``;
-* :class:`DiagnosticsConfig` — watchdog thresholds and recorder
-  settings, carried inside the scheduler config and campaign params;
+* :class:`DiagnosticsConfig` — watchdog thresholds, carried inside
+  the scheduler config and campaign params;
 * :class:`AnomalyReport` — quarantine ledger for lenient trace
   ingestion;
 * :class:`QuarantinedRun` — poison-run isolation records for the
   campaign queue.
 
-Everything is inert on the happy path: failure-free outputs are
-byte-identical with the layer enabled or disabled.
+Everything is inert on the happy path: the recorder only surfaces in
+crash reports, and failure-free outputs are byte-identical with the
+watchdogs armed or not.
 """
 
 from repro.diagnostics.bundle import (

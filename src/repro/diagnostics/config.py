@@ -1,16 +1,16 @@
 """Declarative configuration of the diagnostics layer.
 
 One frozen, JSON-round-trippable object describes everything the
-engine needs to arm crash diagnostics: whether the flight recorder
-runs, how many events its ring buffer retains, and the watchdog
-thresholds.  The config travels inside :class:`~repro.slurm.config.
+engine needs to arm crash diagnostics: the watchdog thresholds and the
+dispatch ceiling.  The flight recorder has no settings: every workload
+manager keeps one of :data:`~repro.diagnostics.recorder.RING_SIZE`
+events.  The config travels inside :class:`~repro.slurm.config.
 SchedulerConfig` and therefore inside campaign ``params`` dicts, so a
 replay bundle re-executes with exactly the diagnostics that produced
 the original crash.
 
-Everything here is inert on the happy path: the flight recorder only
-influences *outputs* when an error escapes the event loop, and both
-watchdogs are off (``None``) by default.
+Everything here is inert on the happy path: both watchdogs are off
+(``None``) by default.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from typing import Mapping
 
 from repro.errors import ConfigError
 
-#: Default ring-buffer capacity: enough context to see the scheduling
-#: decisions leading into a crash without bloating bundles.
-DEFAULT_RING_SIZE = 256
-
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
@@ -31,12 +27,6 @@ class DiagnosticsConfig:
 
     Attributes
     ----------
-    flight_recorder:
-        Keep a bounded ring buffer of the last ``ring_size`` dispatched
-        events, dumped into the crash report when a
-        :class:`~repro.errors.ReproError` escapes the event loop.
-    ring_size:
-        Events retained by the flight recorder.
     wall_clock_limit_s:
         Wall-clock budget for one :meth:`Simulator.run` call; exceeding
         it raises :class:`~repro.errors.WatchdogError` (kind
@@ -53,15 +43,11 @@ class DiagnosticsConfig:
         (``None`` keeps the engine default).
     """
 
-    flight_recorder: bool = True
-    ring_size: int = DEFAULT_RING_SIZE
     wall_clock_limit_s: float | None = None
     stall_event_limit: int | None = None
     max_events: int | None = None
 
     def __post_init__(self) -> None:
-        if self.ring_size < 1:
-            raise ConfigError(f"ring_size must be >= 1, got {self.ring_size}")
         if self.wall_clock_limit_s is not None and self.wall_clock_limit_s < 0:
             raise ConfigError("wall_clock_limit_s must be >= 0 or None")
         if self.stall_event_limit is not None and self.stall_event_limit < 1:
@@ -74,15 +60,6 @@ class DiagnosticsConfig:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
         return asdict(self)
-
-    def non_default_dict(self) -> dict[str, object]:
-        """Only the keys that differ from the defaults (compact params)."""
-        defaults = DiagnosticsConfig()
-        return {
-            key: value
-            for key, value in asdict(self).items()
-            if value != getattr(defaults, key)
-        }
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "DiagnosticsConfig":

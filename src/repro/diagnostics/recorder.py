@@ -1,11 +1,11 @@
 """The flight recorder: a bounded ring buffer of dispatched events.
 
-Unlike :class:`~repro.engine.trace.EventTrace` (an analysis tool the
-caller opts into and inspects), the flight recorder is an always-on
-black box: the engine feeds it every dispatched event, it retains only
-the last N as plain JSON-ready dicts, and its contents surface only
-when a crash report is assembled.  Recording is one deque append per
-event, so it is safe to leave enabled in production runs.
+The engine's one record of dispatched events, and an always-on black
+box: every workload manager installs one, the engine feeds it every
+dispatched event, it retains only the last :data:`RING_SIZE` as plain
+JSON-ready dicts, and its contents surface when a crash report is
+assembled (tests read it to assert dispatch order).  Recording is one
+deque append per event, so it stays on in production runs.
 """
 
 from __future__ import annotations
@@ -16,9 +16,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.events import Event
 
+#: Ring capacity: enough context to see the scheduling decisions
+#: leading into a crash without bloating bundles.
+RING_SIZE = 256
+
 
 def _payload_label(payload: object) -> str:
-    """Short identifier for an event payload (mirrors EventTrace)."""
+    """Short identifier for an event payload."""
     if payload is None:
         return ""
     for attr in ("job_id", "name", "id"):
@@ -33,7 +37,7 @@ def _payload_label(payload: object) -> str:
 class FlightRecorder:
     """Retains the last *limit* dispatched events as plain dicts."""
 
-    def __init__(self, limit: int = 256) -> None:
+    def __init__(self, limit: int = RING_SIZE) -> None:
         self.limit = int(limit)
         self._ring: deque[dict[str, object]] = deque(maxlen=self.limit)
         #: Total events seen, including those that fell off the ring.

@@ -7,8 +7,9 @@ It is intentionally minimal — all batch-system semantics live in
 
 Diagnostics hooks (all inert unless armed):
 
-* an optional flight ``recorder`` receives every dispatched event
-  (one bounded-deque append), so crashes carry the recent history;
+* a flight ``recorder`` receives every dispatched event (one
+  bounded-deque append), so crashes carry the recent history — the
+  workload manager always installs one; a bare simulator may not;
 * a wall-clock watchdog bounds the real time one :meth:`run` call may
   consume before raising :class:`~repro.errors.WatchdogError`;
 * a simulated-time progress guard bounds how many events may dispatch
@@ -36,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.events import Event, EventKind
 from repro.engine.heap import EventHeap
-from repro.engine.trace import EventTrace
 from repro.errors import (
     MaxEventsError,
     SimulationError,
@@ -60,9 +60,6 @@ class Simulator:
 
     Parameters
     ----------
-    trace:
-        Optional :class:`~repro.engine.trace.EventTrace` that records
-        every dispatched event for post-mortem inspection.
     max_events:
         Safety valve: raise :class:`~repro.errors.MaxEventsError` after
         this many dispatches (guards against livelock in faulty
@@ -85,7 +82,6 @@ class Simulator:
 
     def __init__(
         self,
-        trace: EventTrace | None = None,
         max_events: int = DEFAULT_MAX_EVENTS,
         recorder: "FlightRecorder | None" = None,
         wall_clock_limit_s: float | None = None,
@@ -94,7 +90,6 @@ class Simulator:
     ):
         self.now: float = 0.0
         self.heap = EventHeap()
-        self.trace = trace
         self.max_events = int(max_events)
         self.recorder = recorder
         self.wall_clock_limit_s = wall_clock_limit_s
@@ -250,8 +245,6 @@ class Simulator:
             )
         if self.stall_event_limit is not None:
             self._check_progress_guard()
-        if self.trace is not None:
-            self.trace.record(event)
         if self.recorder is not None:
             self.recorder.record(event)
         if self.profiler is None:

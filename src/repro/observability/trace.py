@@ -8,10 +8,13 @@ code from :data:`REASON_CODES`, so "why didn't my job share a node?"
 is answerable from the trace instead of from a debugger.
 
 Buffering is bounded on both axes: in memory, a ring of the most
-recent ``ring`` records (older records drop but remain counted); on
-disk (when ``path`` is set), records append as JSONL in
-``flush_every`` batches with size-based rotation, so a long campaign
-cannot fill the disk with one unbounded trace file.
+recent :attr:`DecisionTrace.RING` records (older records drop but
+remain counted); on disk (when ``path`` is set), records append as
+JSONL in :attr:`~DecisionTrace.FLUSH_EVERY` batches with size-based
+rotation, so a long campaign cannot fill the disk with one unbounded
+trace file.  Writes are buffered and best-effort — a full disk loses
+records, never the run — unlike the fsync'd fleet event log
+(:mod:`repro.observability.events`), which is why the two stay apart.
 
 Rejections are additionally *streak-suppressed*: a pending job that
 fails the same probe with the same code pass after pass emits one
@@ -103,38 +106,34 @@ class DecisionTrace:
     ----------
     path:
         JSONL output file; ``None`` keeps records in memory only.
-    ring:
-        In-memory records retained (drop-oldest beyond this).
-    flush_every:
-        Records buffered between JSONL appends.
-    rotate_bytes:
-        Rotate the JSONL file once it exceeds this size.
-    keep:
-        Rotated generations retained (``<path>.1`` ... ``<path>.keep``).
     hub:
         Optional :class:`~repro.observability.hub.TelemetryHub`; the
         typed emit helpers bump its counters so metrics and trace
         cannot drift apart.
+
+    The bounds are class constants (a test may override the file
+    ones on an instance): :attr:`RING` in-memory records retained
+    (drop-oldest beyond it), :attr:`FLUSH_EVERY` records buffered
+    between JSONL appends, rotation once the file exceeds
+    :attr:`ROTATE_BYTES`, and :attr:`KEEP` rotated generations
+    (``<path>.1`` ... ``<path>.KEEP``).
     """
+
+    #: In-memory records retained — every record of an evaluation-sized
+    #: run, bounded so a runaway simulation cannot exhaust memory.
+    RING = 65_536
+    FLUSH_EVERY = 256
+    ROTATE_BYTES = 64 * 1024 * 1024
+    KEEP = 2
 
     def __init__(
         self,
         path: str | Path | None = None,
-        ring: int = 65_536,
-        flush_every: int = 256,
-        rotate_bytes: int = 64 * 1024 * 1024,
-        keep: int = 2,
         hub: "TelemetryHub | None" = None,
     ) -> None:
-        if ring < 1:
-            raise ConfigError(f"ring must be >= 1, got {ring}")
         self.path = Path(path) if path is not None else None
-        self.flush_every = int(flush_every)
-        self.rotate_bytes = int(rotate_bytes)
-        self.keep = int(keep)
         self.hub = hub
-        self._ring = int(ring)
-        self.records: deque[dict] = deque(maxlen=self._ring)
+        self.records: deque[dict] = deque(maxlen=self.RING)
         self.emitted = 0
         self.dropped = 0
         self.suppressed = 0
@@ -154,7 +153,7 @@ class DecisionTrace:
         and call this directly — one allocation per record, no
         keyword-argument re-packing hop through :meth:`emit`.
         """
-        if len(self.records) == self._ring:
+        if len(self.records) == self.records.maxlen:
             self.dropped += 1
         self.records.append(record)
         self.emitted += 1
@@ -162,7 +161,7 @@ class DecisionTrace:
             # Insertion order is deterministic (seq/t/type, then the
             # caller's fields), so no sort_keys on this hot path.
             self._buffer.append(json.dumps(record))
-            if len(self._buffer) >= self.flush_every:
+            if len(self._buffer) >= self.FLUSH_EVERY:
                 self.flush()
         return record
 
@@ -297,16 +296,16 @@ class DecisionTrace:
             self.write_failures += 1
 
     def _maybe_rotate(self) -> None:
-        """Size-based rotation: ``p`` -> ``p.1`` -> ... -> ``p.keep``."""
+        """Size-based rotation: ``p`` -> ``p.1`` -> ... -> ``p.KEEP``."""
         try:
             size = self.path.stat().st_size  # type: ignore[union-attr]
         except OSError:
             return
-        if size < self.rotate_bytes:
+        if size < self.ROTATE_BYTES:
             return
-        oldest = self.path.with_name(f"{self.path.name}.{self.keep}")  # type: ignore[union-attr]
+        oldest = self.path.with_name(f"{self.path.name}.{self.KEEP}")  # type: ignore[union-attr]
         oldest.unlink(missing_ok=True)
-        for index in range(self.keep - 1, 0, -1):
+        for index in range(self.KEEP - 1, 0, -1):
             source = self.path.with_name(f"{self.path.name}.{index}")  # type: ignore[union-attr]
             if source.exists():
                 source.rename(self.path.with_name(f"{self.path.name}.{index + 1}"))  # type: ignore[union-attr]

@@ -143,24 +143,14 @@ class WorkloadManager:
         #: can rebuild its result payload without the original trace.
         self.workload_name: str = ""
         self.workload_jobs: int = 0
-        diag = self.config.diagnostics
-        self.recorder: FlightRecorder | None = (
-            FlightRecorder(diag.ring_size) if diag.flight_recorder else None
-        )
+        self.recorder = FlightRecorder()
         # Telemetry (all None when off — the zero-overhead contract).
         telemetry = self.config.telemetry
         self.hub: TelemetryHub | None = (
             TelemetryHub() if telemetry.enabled else None
         )
         self.decisions: DecisionTrace | None = (
-            DecisionTrace(
-                path=telemetry.decisions_path,
-                ring=telemetry.ring,
-                flush_every=telemetry.flush_every,
-                rotate_bytes=telemetry.rotate_bytes,
-                keep=telemetry.keep,
-                hub=self.hub,
-            )
+            DecisionTrace(path=telemetry.decisions_path, hub=self.hub)
             if telemetry.enabled and telemetry.decisions
             else None
         )
@@ -171,6 +161,7 @@ class WorkloadManager:
         #: of result payloads — wall-clock facts are not deterministic).
         self.resume_count = 0
         self.restore_wall_s = 0.0
+        diag = self.config.diagnostics
         sim_kwargs: dict = {
             "recorder": self.recorder,
             "wall_clock_limit_s": diag.wall_clock_limit_s,
@@ -1151,9 +1142,12 @@ class WorkloadManager:
             # bundle (see repro.diagnostics).
             attach_crash_info(exc, manager=self)
             raise
+        finally:
+            # Flush on the error path too: the decisions leading into
+            # a crash are the ones its post-mortem needs.
+            if self.decisions is not None:
+                self.decisions.close()
         elapsed = _wallclock.perf_counter() - started
-        if self.decisions is not None:
-            self.decisions.close()
         if self.hub is not None:
             self.hub.inc("sim.runs")
             self.hub.set_gauge(

@@ -81,3 +81,39 @@ class TestReplayTraceCommand:
             "replay-trace", str(tmp_path / "notarch"),
             "--store", str(tmp_path / "store"), "--quiet",
         ]) == 2
+
+    def test_quarantined_last_window_is_reported(self, pipeline, tmp_path,
+                                                 capsys):
+        # A last window whose delivery budget is used up is quarantined
+        # at claim time: no stitched summary, so the command must fail
+        # loudly instead of exiting 0.
+        from repro.archive import load_archive
+        from repro.archive.replay import replay_window_params
+        from repro.campaign.queue import (
+            DEFAULT_MAX_DELIVERIES,
+            QueueItem,
+            WorkQueue,
+        )
+        from repro.campaign.spec import RunSpec
+
+        archive = load_archive(pipeline / "archive")
+        last = len(archive) - 1
+        run = RunSpec.from_params(replay_window_params(
+            archive.archive_id, window=last, windows=len(archive),
+            strategy="easy_backfill", num_nodes=32,
+        ))
+        store = tmp_path / "store"
+        WorkQueue(store).write_item(QueueItem(
+            run_id=run.run_id, seq=last, label=run.label,
+            params=dict(run.params), deliveries=DEFAULT_MAX_DELIVERIES,
+        ))
+        status = main([
+            "replay-trace", str(pipeline / "archive"), "--store", str(store),
+            "--strategy", "easy_backfill", "--nodes", "32", "--quiet",
+        ])
+        err = capsys.readouterr().err
+        assert status == 3  # partial: the earlier windows completed
+        assert f"QUARANTINED {run.run_id}" in err
+        assert "delivery budget exhausted" in err
+        assert (store / "quarantine.json").is_file()
+        assert not (store / "stitched.json").exists()

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.metrics.summary import summarize
 from repro.slurm.config import SchedulerConfig
-from repro.slurm.manager import run_simulation
+from repro.slurm.manager import build_manager, run_simulation
 from repro.workload.trinity import TrinityWorkloadGenerator
 
 
@@ -47,11 +47,10 @@ class TestDiagnosticsConfig:
         assert config.wall_clock_limit_s is None
         assert config.stall_event_limit is None
         assert config.max_events is None
-        assert config.non_default_dict() == {}
 
     def test_roundtrip(self):
         config = DiagnosticsConfig(
-            ring_size=8, wall_clock_limit_s=5.0, stall_event_limit=100
+            wall_clock_limit_s=5.0, stall_event_limit=100, max_events=10
         )
         assert DiagnosticsConfig.from_dict(config.to_dict()) == config
 
@@ -60,14 +59,16 @@ class TestDiagnosticsConfig:
             DiagnosticsConfig.from_dict({"ringsize": 4})
 
     @pytest.mark.parametrize("kwargs", [
-        {"ring_size": 0},
+        # The recorder's ring is a constant now: a params payload that
+        # still names the old knob fails loudly instead of being ignored.
+        {"ring_size": 256},
         {"wall_clock_limit_s": -1.0},
         {"stall_event_limit": 0},
         {"max_events": 0},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            DiagnosticsConfig(**kwargs)
+            DiagnosticsConfig.from_dict(kwargs)
 
     def test_scheduler_config_converts_dict(self):
         config = SchedulerConfig(diagnostics={"max_events": 10})
@@ -260,16 +261,14 @@ class TestInertness:
     """Diagnostics must never change what a simulation computes."""
 
     def test_recorder_does_not_change_results(self):
-        base = run_simulation(
-            small_trace(), num_nodes=16,
-            config=SchedulerConfig(diagnostics={"flight_recorder": False}),
-        )
-        recorded = run_simulation(
-            small_trace(), num_nodes=16,
-            config=SchedulerConfig(diagnostics={"ring_size": 4}),
-        )
-        assert summarize(base).as_dict() == summarize(recorded).as_dict()
-        assert base.events_dispatched == recorded.events_dispatched
+        unrecorded = build_manager(small_trace(), num_nodes=16)
+        unrecorded.sim.recorder = None
+        base = unrecorded.run()
+        recorded = build_manager(small_trace(), num_nodes=16)
+        result = recorded.run()
+        assert recorded.recorder.recorded == result.events_dispatched
+        assert summarize(base).as_dict() == summarize(result).as_dict()
+        assert base.events_dispatched == result.events_dispatched
 
     def test_armed_watchdogs_do_not_change_results(self):
         base = run_simulation(small_trace(), num_nodes=16)
@@ -281,12 +280,3 @@ class TestInertness:
             }),
         )
         assert summarize(base).as_dict() == summarize(guarded).as_dict()
-
-    def test_manager_without_recorder_has_none(self):
-        from repro.cluster.machine import Cluster
-        from repro.slurm.manager import WorkloadManager
-
-        config = SchedulerConfig(diagnostics={"flight_recorder": False})
-        manager = WorkloadManager(Cluster.homogeneous(4), config=config)
-        assert manager.recorder is None
-        assert manager.sim.recorder is None

@@ -1,7 +1,12 @@
-"""Unit tests for event-trace recording."""
+"""The engine's record of dispatched events: the flight recorder.
 
+Every workload manager installs one :class:`FlightRecorder`, and the
+simulator feeds it each event it dispatches; these tests pin what a
+record holds (order, label), its default bound and its text dump.
+"""
+
+from repro.diagnostics.recorder import RING_SIZE, FlightRecorder
 from repro.engine.events import Event, EventKind
-from repro.engine.trace import EventTrace
 
 
 def ev(time: float, kind: EventKind = EventKind.JOB_SUBMIT, payload=None) -> Event:
@@ -17,47 +22,38 @@ class Payload:
 
 class TestEventTrace:
     def test_records_in_order(self):
-        trace = EventTrace()
-        trace.record(ev(1.0))
-        trace.record(ev(2.0))
-        assert [r.time for r in trace] == [1.0, 2.0]
+        recorder = FlightRecorder()
+        recorder.record(ev(1.0))
+        recorder.record(ev(2.0, EventKind.JOB_FINISH))
+        assert [(r["time"], r["kind"], r["seq"]) for r in recorder.tail()] == [
+            (1.0, "JOB_SUBMIT", 10),
+            (2.0, "JOB_FINISH", 20),
+        ]
 
     def test_label_from_payload_job_id(self):
-        trace = EventTrace()
-        trace.record(ev(1.0, payload=Payload(42)))
-        assert trace[0].label == "42"
+        recorder = FlightRecorder()
+        recorder.record(ev(1.0, payload=Payload(42)))
+        assert recorder.last()["label"] == "42"
 
     def test_label_empty_without_payload(self):
-        trace = EventTrace()
-        trace.record(ev(1.0))
-        assert trace[0].label == ""
-
-    def test_filter_predicate(self):
-        trace = EventTrace(keep=lambda e: e.kind is EventKind.JOB_FINISH)
-        trace.record(ev(1.0, EventKind.JOB_SUBMIT))
-        trace.record(ev(2.0, EventKind.JOB_FINISH))
-        assert len(trace) == 1
-        assert trace[0].kind is EventKind.JOB_FINISH
+        recorder = FlightRecorder()
+        recorder.record(ev(1.0))
+        assert recorder.last()["label"] == ""
 
     def test_limit_drops_oldest(self):
-        trace = EventTrace(limit=3)
-        for t in range(5):
-            trace.record(ev(float(t)))
-        assert len(trace) == 3
-        assert trace.dropped == 2
-        assert [r.time for r in trace] == [2.0, 3.0, 4.0]
-
-    def test_of_kind(self):
-        trace = EventTrace()
-        trace.record(ev(1.0, EventKind.JOB_SUBMIT))
-        trace.record(ev(2.0, EventKind.JOB_FINISH))
-        trace.record(ev(3.0, EventKind.JOB_SUBMIT))
-        assert len(trace.of_kind(EventKind.JOB_SUBMIT)) == 2
+        recorder = FlightRecorder()
+        assert recorder.limit == RING_SIZE
+        for t in range(RING_SIZE + 5):
+            recorder.record(ev(float(t)))
+        assert len(recorder) == RING_SIZE
+        assert recorder.dropped == 5
+        assert recorder.tail()[0]["time"] == 5.0
 
     def test_format_tail(self):
-        trace = EventTrace()
+        recorder = FlightRecorder()
         for t in range(5):
-            trace.record(ev(float(t)))
-        text = trace.format(last=2)
+            recorder.record(ev(float(t)))
+        text = recorder.format(last=2)
         assert text.count("\n") == 1
         assert "JOB_SUBMIT" in text
+        assert "#40" in text

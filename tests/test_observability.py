@@ -103,20 +103,18 @@ class TestTelemetryConfig:
     def test_defaults_are_inert(self):
         config = TelemetryConfig()
         assert not config.enabled
-        assert config.non_default_dict() == {}
+        assert config.decisions_path is None
 
     def test_round_trip(self):
-        config = TelemetryConfig(enabled=True, profile=True, ring=128)
+        config = TelemetryConfig(
+            enabled=True, profile=True, decisions_path="d.jsonl"
+        )
         restored = TelemetryConfig.from_dict(config.to_dict())
         assert restored == config
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             TelemetryConfig.from_dict({"nope": 1})
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            TelemetryConfig(ring=0)
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +204,10 @@ class TestDecisionTrace:
         assert trace.records[-1]["job"] == 2
 
     def test_ring_drops_oldest_but_keeps_counting(self):
-        trace = DecisionTrace(ring=4)
+        class SmallRing(DecisionTrace):
+            RING = 4
+
+        trace = SmallRing()
         for i in range(10):
             trace.event(float(i), "tick")
         assert len(trace.records) == 4
@@ -216,7 +217,8 @@ class TestDecisionTrace:
 
     def test_jsonl_flush_and_summary(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        trace = DecisionTrace(path=path, flush_every=2)
+        trace = DecisionTrace(path=path)
+        trace.FLUSH_EVERY = 2
         trace.event(0.0, "a")
         trace.event(1.0, "b")  # second record triggers the flush
         lines = path.read_text().splitlines()
@@ -227,20 +229,22 @@ class TestDecisionTrace:
 
     def test_rotation_bounds_disk(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        trace = DecisionTrace(path=path, flush_every=1, rotate_bytes=200,
-                              keep=2)
+        trace = DecisionTrace(path=path)
+        trace.FLUSH_EVERY, trace.ROTATE_BYTES = 1, 200
         for i in range(60):
             trace.event(float(i), "tick", padding="x" * 40)
         trace.close()
         generations = sorted(p.name for p in tmp_path.iterdir())
         assert path.name in generations
         assert f"{path.name}.1" in generations
-        assert f"{path.name}.{4}" not in generations  # keep=2 bounds it
+        assert f"{path.name}.{DecisionTrace.KEEP}" in generations
+        # KEEP bounds the generations on disk.
+        assert f"{path.name}.{DecisionTrace.KEEP + 1}" not in generations
 
     def test_pickle_round_trip_preserves_sequence(self):
         import pickle
 
-        trace = DecisionTrace(ring=16)
+        trace = DecisionTrace()
         trace.event(0.0, "a")
         restored = pickle.loads(pickle.dumps(trace))
         restored.event(1.0, "b")
@@ -372,6 +376,24 @@ class TestManagerTelemetry:
         phases = manager.telemetry_summary()["profile"]["phases"]
         assert "placement" in phases
         assert "dispatch" in phases
+
+    def test_crashed_run_keeps_its_decisions_on_disk(self, tmp_path):
+        # The records leading into a crash must reach the JSONL file
+        # even though the run never returns (a run this short emits
+        # fewer than one flush batch, so only the error-path flush
+        # writes them).
+        from repro.errors import MaxEventsError
+
+        path = tmp_path / "d.jsonl"
+        manager = build(telemetry=TelemetryConfig(
+            enabled=True, decisions_path=str(path),
+        ))
+        manager.sim.max_events = 40
+        with pytest.raises(MaxEventsError):
+            manager.run()
+        emitted = manager.decisions.emitted
+        assert emitted > 0
+        assert len(path.read_text().splitlines()) == emitted
 
 
 # ----------------------------------------------------------------------

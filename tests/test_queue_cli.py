@@ -51,14 +51,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["queue"])
 
-    def test_replay_trace_strategies_fanout_flags(self):
-        args = build_parser().parse_args(
-            ["replay-trace", "arch", "--store", "st",
-             "--strategies", "fcfs", "easy_backfill", "--workers", "2"]
-        )
-        assert args.strategies == ["fcfs", "easy_backfill"]
-        assert args.workers == 2
-
 
 class TestQueueStatusAndWork:
     def test_status_without_queue_exits_2(self, tmp_path, capsys):
