@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.faultinject import failpoint, failpoint_write, with_io_retries
+from repro.faultinject import failpoint_write, with_io_retries, write_atomic
 from repro.slurm.accounting import JobRecord
 from repro.slurm.job import JobState
 from repro.workload.spec import JobSpec
@@ -164,26 +163,7 @@ class ColumnarStore:
         data = json.dumps(self._manifest, sort_keys=True, indent=1).encode(
             "utf-8"
         )
-
-        def _attempt() -> None:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".manifest-", suffix=".tmp", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    failpoint_write("columnar.manifest.write", handle, data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                failpoint("columnar.manifest.rename")
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-
-        with_io_retries(_attempt)
+        write_atomic(path, data, failpoint="columnar.manifest")
 
     # ------------------------------------------------------------------
     # Introspection

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -38,7 +36,7 @@ from repro.archive.stream import DEFAULT_CHUNK_JOBS, iter_swf_chunks
 from repro.archive.windows import DEFAULT_WINDOW_JOBS, WindowPlanner
 from repro.diagnostics.ingest import AnomalyReport
 from repro.errors import ConfigError, TraceFormatError
-from repro.faultinject import failpoint, failpoint_write
+from repro.faultinject import write_atomic
 from repro.workload.swf import read_swf_header_apps
 from repro.workload.trace import WorkloadTrace
 
@@ -51,28 +49,6 @@ ARCHIVE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_NAME = "quarantine.json"
 WINDOWS_DIR = "windows"
-
-
-def _atomic_write_bytes(
-    path: Path, data: bytes, fp_name: str = "archive.manifest"
-) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.stem}-", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            failpoint_write(f"{fp_name}.write", handle, data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        failpoint(f"{fp_name}.rename")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass(frozen=True)
@@ -145,8 +121,8 @@ def ingest_swf(
         data = array.tobytes()
         hasher.update(data)
         file_name = f"window-{window.index:05d}.col"
-        _atomic_write_bytes(
-            windows_dir / file_name, data, fp_name="archive.window"
+        write_atomic(
+            windows_dir / file_name, data, failpoint="archive.window"
         )
         windows_meta.append({
             "index": window.index,
@@ -195,13 +171,15 @@ def ingest_swf(
         "quarantined": anomalies.quarantined,
         "windows": windows_meta,
     }
-    _atomic_write_bytes(
+    write_atomic(
         out / MANIFEST_NAME,
         json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8"),
+        failpoint="archive.manifest",
     )
-    _atomic_write_bytes(
+    write_atomic(
         out / QUARANTINE_NAME,
         json.dumps(anomalies.as_dict(), indent=1).encode("utf-8"),
+        failpoint="archive.manifest",
     )
     return IngestResult(
         out_dir=out,

@@ -42,6 +42,7 @@ names the boundary snapshots and columnar idempotence marks.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -60,6 +61,7 @@ from repro.archive.ingest import Archive, load_archive
 from repro.campaign.queue import CampaignResult, run_campaign
 from repro.campaign.spec import RunSpec, run_id_of
 from repro.errors import ConfigError, SnapshotError
+from repro.faultinject import write_atomic
 from repro.slurm.config import SchedulerConfig
 from repro.slurm.job import JobState
 
@@ -342,14 +344,10 @@ def replay_archive(
         stitched["chain"] = chain
         stitched["strategy"] = strategy
         stitched["num_nodes"] = num_nodes
-        import json
-
-        from repro.faultinject import failpoint
-
-        failpoint("stitched.write")
-        (store_dir / STITCHED_NAME).write_text(
-            json.dumps(stitched, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
+        write_atomic(
+            store_dir / STITCHED_NAME,
+            (json.dumps(stitched, sort_keys=True, indent=1) + "\n").encode(),
+            failpoint="stitched",
         )
         for snap in sorted(boundary_dir.glob(f"{chain}-w*.snap")):
             snap.unlink(missing_ok=True)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro.faultinject import failpoint, failpoint_write
+from repro.faultinject import failpoint, failpoint_write, write_atomic
 
 #: Heartbeat period: how often a holder refreshes its lease mtime.
 DEFAULT_HEARTBEAT_S = 0.5
@@ -175,14 +175,10 @@ class LeaseDir:
         heartbeat rewrite) because the lease is seconds old — far
         inside the TTL — so no supervisor can have reclaimed it.
         """
-        path = self.path_for(run_id)
-        tmp = path.with_name(path.name + ".tmp")
-        data = self._encode(run_id, token, pid=pid, host=host)
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_atomic(
+            self.path_for(run_id),
+            self._encode(run_id, token, pid=pid, host=host),
+        )
 
     def _encode(self, run_id: str, token: int, *, pid: int | None,
                 host: str | None) -> bytes:

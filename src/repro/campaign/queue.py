@@ -78,7 +78,6 @@ import logging
 import os
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -101,7 +100,7 @@ from repro.errors import (
     SuspendRequested,
     WatchdogError,
 )
-from repro.faultinject import backoff_delay, failpoint_write, with_io_retries
+from repro.faultinject import backoff_delay, write_atomic
 from repro.snapshot import suspend as _suspend
 from repro.snapshot.guards import disk_free_mb, rss_mb_of
 from repro.snapshot.state import snapshot_path_for
@@ -234,12 +233,8 @@ class WorkQueue:
     # Config
     # ------------------------------------------------------------------
     def write_config(self, config: Mapping[str, object]) -> Path:
-        path = self.root / CONFIG_NAME
-        data = json.dumps(dict(config), sort_keys=True, indent=1).encode(
-            "utf-8"
-        )
-        self._atomic_write(path, data, name=None)
-        return path
+        data = json.dumps(dict(config), sort_keys=True, indent=1)
+        return write_atomic(self.root / CONFIG_NAME, data.encode("utf-8"))
 
     def read_config(self) -> dict[str, object]:
         path = self.root / CONFIG_NAME
@@ -272,34 +267,9 @@ class WorkQueue:
         data = json.dumps(item.to_dict(), sort_keys=True, indent=1).encode(
             "utf-8"
         )
-        self._atomic_write(
-            self._item_path(item.run_id), data, name="queue.item.write"
+        write_atomic(
+            self._item_path(item.run_id), data, failpoint="queue.item"
         )
-
-    def _atomic_write(
-        self, path: Path, data: bytes, *, name: str | None
-    ) -> None:
-        def _attempt() -> None:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{path.stem}-", suffix=".tmp", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    if name is not None:
-                        failpoint_write(name, handle, data)
-                    else:
-                        handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-
-        with_io_retries(_attempt)
 
     def _remove_item(self, run_id: str) -> None:
         self._item_path(run_id).unlink(missing_ok=True)
@@ -519,7 +489,7 @@ class WorkQueue:
         self, item: QueueItem, target: Path, payload: dict[str, object]
     ) -> None:
         data = json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
-        self._atomic_write(target / f"{item.run_id}.json", data, name=None)
+        write_atomic(target / f"{item.run_id}.json", data)
         self._remove_item(item.run_id)
 
     def fail_item(

@@ -1215,6 +1215,8 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
             "executed": campaign.completed,
             "cached": campaign.cached,
             "failed": campaign.failed,
+            "quarantined": len(campaign.quarantined),
+            "suspended": len(campaign.suspended),
             "stitched": outcome.stitched,
         }))
     else:

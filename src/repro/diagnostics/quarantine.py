@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.errors import ReplayError
+from repro.faultinject import write_atomic
 
 #: Manifest schema identifier.
 QUARANTINE_FORMAT = "repro-quarantine/v1"
@@ -68,7 +69,7 @@ def write_quarantine_manifest(
     campaign: str,
     runs: Sequence[QuarantinedRun],
 ) -> Path:
-    """Write the quarantine manifest for *campaign* (canonical JSON)."""
+    """Atomically write *campaign*'s quarantine manifest (canonical JSON)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     document = {
@@ -77,11 +78,9 @@ def write_quarantine_manifest(
         "quarantined": len(runs),
         "runs": [run.as_dict() for run in runs],
     }
-    path.write_text(
-        json.dumps(document, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
+    return write_atomic(
+        path, (json.dumps(document, sort_keys=True, indent=1) + "\n").encode()
     )
-    return path
 
 
 def load_quarantine_manifest(path: str | Path) -> dict[str, object]:

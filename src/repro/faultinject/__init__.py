@@ -1,10 +1,11 @@
 """Deterministic fault injection for durable-state boundaries.
 
 Kept deliberately light: importing this package pulls in only the
-registry and retry helpers (the modules the instrumented write paths
-need on their hot path).  The heavier tools — the :mod:`~repro.
-faultinject.fsck` invariant checker and the :mod:`~repro.faultinject.
-chaos` crash sweep — are imported lazily by the CLI.
+registry, retry and durable-write helpers (the modules the
+instrumented write paths need on their hot path).  The heavier
+tools — the :mod:`~repro.faultinject.fsck` invariant checker and the
+:mod:`~repro.faultinject.chaos` crash sweep — are imported lazily by
+the CLI.
 """
 
 from repro.faultinject.registry import (
@@ -21,6 +22,7 @@ from repro.faultinject.registry import (
     failpoint_write,
     parse_plan,
 )
+from repro.faultinject.durable import write_atomic
 from repro.faultinject.retry import (
     TRANSIENT_ERRNOS,
     backoff_delay,
@@ -45,4 +47,5 @@ __all__ = [
     "failpoint_write",
     "parse_plan",
     "with_io_retries",
+    "write_atomic",
 ]

@@ -24,8 +24,8 @@ verifies every invariant the crash-recovery design promises:
   warnings (the queue supervisor recovers all of them); ``--repair``
   reaps the provably-safe subset.
 
-Leftover ``.*.tmp`` files (a crash between ``mkstemp`` and
-``os.replace``) are warnings: harmless garbage, never visible data.
+Leftover ``.*.tmp`` files (a crash inside ``write_atomic``) are
+warnings: harmless garbage, never visible data.
 
 Exit codes (via the CLI): 0 all invariants hold, 1 violations found,
 2 the path is not a store/archive at all.
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError, SnapshotError
+from repro.faultinject.durable import TMP_GLOB
 
 #: Result-record file names are 16-hex-char content hashes.
 _RECORD_RE = re.compile(r"^[0-9a-f]{16}\.json$")
@@ -299,10 +300,11 @@ def _check_results_jsonl(
 
 
 def _check_tmp_residue(report: FsckReport, root: Path) -> None:
-    for directory in (root, root / "columnar", root / "windows"):
+    for sub in ("", "columnar", "windows", "boundaries"):
+        directory = root / sub
         if not directory.is_dir():
             continue
-        for tmp in sorted(directory.glob(".*.tmp")):
+        for tmp in sorted(directory.glob(TMP_GLOB)):
             report.add(
                 "warning", "store.tmp-residue", tmp,
                 "leftover temp file from an interrupted atomic write "
@@ -326,12 +328,7 @@ def _check_queue(
     queue_root = root / ".queue"
     if not queue_root.is_dir():
         return
-    from repro.campaign.lease import (
-        LEASE_SUFFIX,
-        LeaseDir,
-        local_host,
-        pid_alive,
-    )
+    from repro.campaign.lease import LeaseDir, local_host, pid_alive
 
     items_dir = queue_root / "items"
     leases = LeaseDir(queue_root / "leases")
@@ -383,15 +380,10 @@ def _check_queue(
                 "claimant retires it",
             )
     residue = []
-    for pattern in ("*.fired", "*.tmp", ".*.tmp"):
+    for pattern in ("*.fired", TMP_GLOB):
         residue.extend(queue_root.rglob(pattern))
     for stray in sorted(set(residue)):
-        if stray.suffix == ".tmp" and stray.name.endswith(LEASE_SUFFIX + ".tmp"):
-            kind = "lease rewrite"
-        elif stray.suffix == ".fired":
-            kind = "failpoint stamp"
-        else:
-            kind = "atomic write"
+        kind = "failpoint stamp" if stray.suffix == ".fired" else "atomic write"
         if repair:
             stray.unlink(missing_ok=True)
             report.add(

@@ -39,7 +39,7 @@ import errno as _errno
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.errors import ConfigError
 
@@ -62,6 +62,7 @@ CATALOG: dict[str, str] = {
     "store.manifest.write": "campaign .campaign.json manifest: temp-file write",
     "store.manifest.rename": "campaign .campaign.json manifest: atomic rename",
     "store.jsonl.write": "results.jsonl export: temp-file payload write",
+    "store.jsonl.rename": "results.jsonl export: atomic rename into place",
     "snapshot.write": "state snapshot: header+payload temp-file write",
     "snapshot.rename": "state snapshot: atomic rename into place",
     "columnar.append.write": "columnar batch append: in-place column-file write",
@@ -71,9 +72,11 @@ CATALOG: dict[str, str] = {
     "archive.window.rename": "archive window record file: atomic rename",
     "archive.manifest.write": "archive manifest/quarantine: temp-file write",
     "archive.manifest.rename": "archive manifest/quarantine: atomic rename",
-    "stitched.write": "replay stitched.json summary: temp-file write",
+    "stitched.write": "replay stitched.json summary: temp-file payload write",
+    "stitched.rename": "replay stitched.json summary: atomic rename",
     "bundle.write": "crash replay bundle: document write",
-    "queue.item.write": "campaign queue item: temp-file write + rename",
+    "queue.item.write": "campaign queue item: temp-file payload write",
+    "queue.item.rename": "campaign queue item: atomic rename into place",
     "queue.lease.create": "campaign queue lease: O_EXCL claim-file write",
     "queue.lease.renew": "campaign queue lease: heartbeat refresh",
     "queue.lease.release": "campaign queue lease: verified unlink",
@@ -81,6 +84,7 @@ CATALOG: dict[str, str] = {
                            "sidecar append",
     "service.submit.write": "service submission record: temp-file write",
     "service.manifest.write": "service.json coordinates: temp-file write",
+    "service.manifest.rename": "service.json coordinates: atomic rename",
     "service.key.write": "service idempotency-key binding: temp-file "
                          "write before the atomic link",
     "service.stream.write": "service SSE frame: pre-write boundary",
@@ -289,11 +293,6 @@ def failpoint_write(name: str, handle, data: bytes) -> None:
         except OSError:
             pass
     _trip(spec)
-
-
-def iter_catalog() -> Iterator[tuple[str, str]]:
-    """Registered failpoints in stable (sorted) order."""
-    return iter(sorted(CATALOG.items()))
 
 
 # Arm from the environment at import so worker subprocesses (which

@@ -2,11 +2,12 @@
 
 A single spurious ``EIO`` from a flaky NFS server, or a transient
 ``ENOSPC`` while a neighbouring job's scratch files are being
-reaped, should not fail a multi-hour campaign: the store and
-columnar write paths wrap their atomic-write attempts in
-:func:`with_io_retries`, which retries *transient* errno classes a
-bounded number of times with exponential backoff, and re-raises
-*permanent* ones (``EACCES``, ``EROFS``, ``ENOENT``…) immediately.
+reaped, should not fail a multi-hour campaign: every atomic write
+(:func:`~repro.faultinject.durable.write_atomic`) and the columnar
+append run under :func:`with_io_retries`, which retries *transient*
+errno classes a bounded number of times with exponential backoff, and
+re-raises *permanent* ones (``EACCES``, ``EROFS``, ``ENOENT``…)
+immediately.
 
 The backoff jitter is deterministic — a CRC over (pid, attempt) —
 rather than drawn from :mod:`random`: fault-injected runs must stay
@@ -93,9 +94,9 @@ def with_io_retries(
 ) -> T:
     """Run *op*, retrying transient :class:`OSError` failures.
 
-    *op* must be safe to re-run from scratch (the atomic-write helpers
-    qualify: each attempt creates a fresh temp file or re-seeks to the
-    manifest row count).  Permanent errors and exhausted budgets
+    *op* must be safe to re-run from scratch (``write_atomic`` and the
+    columnar append qualify: each attempt creates a fresh temp file or
+    re-seeks to the manifest row count).  Permanent errors and exhausted budgets
     re-raise the original exception unchanged.  *sleep* is injectable
     so tests never wait on the wall clock.
     """

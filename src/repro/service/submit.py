@@ -48,7 +48,7 @@ from repro.campaign.queue import (
 from repro.campaign.spec import CampaignSpec, run_id_of
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigError
-from repro.faultinject import failpoint, failpoint_write, with_io_retries
+from repro.faultinject import failpoint_write, with_io_retries, write_atomic
 
 #: Name of the service's own manifest at the service root.
 SERVICE_MANIFEST = "service.json"
@@ -99,26 +99,7 @@ def write_service_manifest(
     root.mkdir(parents=True, exist_ok=True)
     path = root / SERVICE_MANIFEST
     data = json.dumps(dict(doc), sort_keys=True, indent=1).encode("utf-8")
-
-    def _attempt() -> Path:
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".service-", suffix=".tmp", dir=root
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                failpoint_write("service.manifest.write", handle, data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    return with_io_retries(_attempt)
+    return write_atomic(path, data, failpoint="service.manifest")
 
 
 def read_service_manifest(root: str | Path) -> dict[str, object] | None:

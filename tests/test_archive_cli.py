@@ -102,18 +102,30 @@ class TestReplayTraceCommand:
             archive.archive_id, window=last, windows=len(archive),
             strategy="easy_backfill", num_nodes=32,
         ))
+
+        def replay(store, *extra):
+            WorkQueue(store).write_item(QueueItem(
+                run_id=run.run_id, seq=last, label=run.label,
+                params=dict(run.params), deliveries=DEFAULT_MAX_DELIVERIES,
+            ))
+            return main([
+                "replay-trace", str(pipeline / "archive"),
+                "--store", str(store), "--strategy", "easy_backfill",
+                "--nodes", "32", "--quiet", *extra,
+            ])
+
         store = tmp_path / "store"
-        WorkQueue(store).write_item(QueueItem(
-            run_id=run.run_id, seq=last, label=run.label,
-            params=dict(run.params), deliveries=DEFAULT_MAX_DELIVERIES,
-        ))
-        status = main([
-            "replay-trace", str(pipeline / "archive"), "--store", str(store),
-            "--strategy", "easy_backfill", "--nodes", "32", "--quiet",
-        ])
+        status = replay(store)
         err = capsys.readouterr().err
         assert status == 3  # partial: the earlier windows completed
         assert f"QUARANTINED {run.run_id}" in err
         assert "delivery budget exhausted" in err
         assert (store / "quarantine.json").is_file()
         assert not (store / "stitched.json").exists()
+        # The --json payload counts the quarantined window as well.
+        assert replay(tmp_path / "json-store", "--json") == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["quarantined"] == 1
+        assert doc["failed"] == 0
+        assert doc["suspended"] == 0
+        assert doc["stitched"] is None

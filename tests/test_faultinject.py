@@ -8,13 +8,19 @@ paths actually surviving (or propagating) injected faults.
 
 from __future__ import annotations
 
+import ast
 import errno
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.archive import ingest_swf, replay_archive, synth_swf
 from repro.archive.columnar import JOBS_DTYPE, ColumnarStore
+from repro.campaign.queue import QueueItem, WorkQueue
 from repro.campaign.spec import run_id_of
 from repro.campaign.store import ResultStore
 from repro.diagnostics.bundle import write_bundle
@@ -32,6 +38,11 @@ from repro.faultinject import (
     with_io_retries,
 )
 from repro.faultinject import registry as registry_mod
+from repro.faultinject.durable import TMP_GLOB
+from repro.service.submit import write_service_manifest
+from repro.slurm.manager import build_manager
+from repro.snapshot.state import write_snapshot
+from repro.workload.trinity import TrinityWorkloadGenerator
 
 
 @pytest.fixture(autouse=True)
@@ -105,12 +116,17 @@ class TestPlanLanguage:
                 repro.service.submit,
             )
         )
+        # write_atomic(..., failpoint="<base>") hits <base>.write and
+        # <base>.rename; every such base must register both.
+        bases = set(re.findall(r'failpoint="([a-z.]+)"', sources))
+        for base in bases:
+            assert f"{base}.write" in CATALOG, base
+            assert f"{base}.rename" in CATALOG, base
         for name in CATALOG:
-            if name.startswith("archive."):
-                # Parameterised via the fp_name argument prefix.
-                assert name.rsplit(".", 1)[0].split(".")[1] in sources
-            else:
-                assert f'"{name}"' in sources, name
+            base, _, hook = name.rpartition(".")
+            assert f'"{name}"' in sources or (
+                hook in ("write", "rename") and base in bases
+            ), name
 
     def test_from_env(self):
         plan = FaultPlan.from_env({"REPRO_FAILPOINTS": "bundle.write=enospc"})
@@ -224,6 +240,91 @@ class TestRetries:
         assert seen == [1]
 
 
+def _record(root):
+    params = {"kind": "t", "value": 1}
+    run_id = run_id_of(params)
+    store = ResultStore(root)
+    store.save(run_id, {"run_id": run_id, "label": "t", "params": params,
+                        "result": {"x": 1}})
+    return store, run_id
+
+
+def _write_result(root):
+    store, run_id = _record(root)
+    return store.path_for(run_id)
+
+
+def _write_store_manifest(root):
+    return ResultStore(root).write_manifest({"spec": {"jobs": 1}})
+
+
+def _write_jsonl(root):
+    store, _ = _record(root)
+    store.export_jsonl(root / "results.jsonl")
+    return root / "results.jsonl"
+
+
+def _write_snapshot(root):
+    trace = TrinityWorkloadGenerator().generate(
+        20, 8, np.random.default_rng(3)
+    )
+    manager = build_manager(trace, num_nodes=8, strategy="easy_backfill")
+    return write_snapshot(manager, root / "run.snap", spec_hash="s")
+
+
+def _write_columnar_manifest(root):
+    batch = np.zeros(4, dtype=JOBS_DTYPE)
+    batch["job_id"] = np.arange(4)
+    ColumnarStore(root).append("jobs", batch)
+    return root / "manifest.json"
+
+
+def _ingest(root):
+    synth_swf(root / "t.swf", jobs=60, nodes=16, seed=3)
+    ingest_swf(root / "t.swf", root / "archive", window_jobs=30)
+    return root / "archive"
+
+
+def _write_archive_window(root):
+    return _ingest(root) / "windows" / "window-00000.col"
+
+
+def _write_archive_manifest(root):
+    return _ingest(root) / "manifest.json"
+
+
+def _write_queue_item(root):
+    WorkQueue(root).write_item(QueueItem(
+        run_id="0123456789abcdef", seq=0, label="t", params={"kind": "t"},
+    ))
+    return root / ".queue" / "items" / "0123456789abcdef.json"
+
+
+def _write_service_manifest(root):
+    return write_service_manifest(root, {"host": "127.0.0.1", "port": 1})
+
+
+def _write_stitched(root):
+    outcome = replay_archive(_ingest(root), root / "store", num_nodes=16)
+    assert outcome.ok
+    return root / "store" / "stitched.json"
+
+
+#: Every named write_atomic site -> a writer returning the file it wrote.
+ATOMIC_SITES = {
+    "store.result": _write_result,
+    "store.manifest": _write_store_manifest,
+    "store.jsonl": _write_jsonl,
+    "snapshot": _write_snapshot,
+    "columnar.manifest": _write_columnar_manifest,
+    "archive.window": _write_archive_window,
+    "archive.manifest": _write_archive_manifest,
+    "queue.item": _write_queue_item,
+    "service.manifest": _write_service_manifest,
+    "stitched": _write_stitched,
+}
+
+
 class TestInstrumentedPaths:
     """Injected faults against the real write paths."""
 
@@ -256,9 +357,72 @@ class TestInstrumentedPaths:
         got = np.asarray(ColumnarStore(tmp_path).read("jobs"))
         assert got.tobytes() == batch.tobytes()
 
+    @pytest.mark.parametrize("base", sorted(ATOMIC_SITES))
+    def test_atomic_write_retries_transient_eio(
+        self, base, tmp_path, monkeypatch
+    ):
+        import repro.faultinject.retry as retry_mod
+
+        monkeypatch.setattr(retry_mod.time, "sleep", lambda s: None)
+        clean_root, armed_root = tmp_path / "clean", tmp_path / "armed"
+        clean_root.mkdir()
+        armed_root.mkdir()
+        clean = ATOMIC_SITES[base](clean_root)
+        plan = FaultPlan(parse_plan(f"{base}.write=eio"))
+        with armed(plan):
+            retried = ATOMIC_SITES[base](armed_root)
+        assert plan.hits[f"{base}.write"] == 1  # the fault fired
+        assert retried.read_bytes() == clean.read_bytes()
+        assert not list(armed_root.rglob(TMP_GLOB))
+
     def test_bundle_write_propagates_eio(self, tmp_path):
         # Bundles have no retry wrapper: a bad disk surfaces to the
         # caller (the quarantine path tolerates a missing bundle).
         with armed(FaultPlan(parse_plan("bundle.write=eio"))):
             with pytest.raises(OSError):
                 write_bundle({"format": "test", "x": 1}, tmp_path / "b.json")
+
+
+class TestOneDurableWritePath:
+    """``write_atomic`` is the only temp-file + rename protocol."""
+
+    #: Functions allowed to call ``tempfile.mkstemp`` or ``os.replace``
+    #: themselves: the protocol's own, and the two service commits that
+    #: land their temp file with an exclusive ``os.link``.
+    ALLOWED = {
+        "faultinject/durable.py": {"write_atomic"},
+        "service/submit.py": {"_bind_key", "_write_record"},
+    }
+    BANNED = {("tempfile", "mkstemp"), ("os", "replace")}
+
+    def _uses(self, node, stack=()):
+        """(line, enclosing function names) of each banned call."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._uses(child, stack + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and (child.value.id, child.attr) in self.BANNED
+            ) or (
+                isinstance(child, ast.ImportFrom)
+                and any(
+                    (child.module, alias.name) in self.BANNED
+                    for alias in child.names
+                )
+            ):
+                yield child.lineno, stack
+            yield from self._uses(child, stack)
+
+    def test_no_hand_copied_atomic_writes(self):
+        src = Path(repro.__file__).parent
+        stray = []
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            allowed = self.ALLOWED.get(rel, set())
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for lineno, stack in self._uses(tree):
+                if not allowed & set(stack):
+                    stray.append(f"{rel}:{lineno}")
+        assert not stray, f"hand-copied atomic writes: {stray}"

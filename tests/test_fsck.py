@@ -128,6 +128,16 @@ class TestStoreInvariants:
         assert report.ok
         assert "store.tmp-residue" in codes(report, "warning")
 
+    def test_boundary_snapshot_residue_is_reported(self, tmp_path):
+        # A replay killed inside a window-boundary snapshot write leaves
+        # its temp file under boundaries/.
+        store = make_store(tmp_path / "store")
+        (store.root / "boundaries").mkdir()
+        (store.root / "boundaries" / ".c-w00001-x.tmp").write_bytes(b"half")
+        report = fsck_store(store.root)
+        assert report.ok
+        assert "store.tmp-residue" in codes(report, "warning")
+
 
 class TestSnapshotInvariants:
     def test_clean_snapshot_passes(self, tmp_path):
